@@ -166,8 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "free nonassociative algebras.")
     ap.add_argument("--format", choices=("text", "json"), default=None,
                     help="output format (default text)")
-    ap.add_argument("--threads", type=int, default=None, metavar="N",
-                    help="worker cap; results are independent of it")
     ap.add_argument("--max-ambient", type=int, default=None, metavar="N",
                     help="largest allowed ambient component dimension")
     ap.add_argument("--max-generators", type=int, default=None, metavar="N",
@@ -230,7 +228,6 @@ def main(argv=None) -> int:
     try:
         config = Config.from_env(
             output_format=args.format,
-            thread_count=args.threads,
             max_ambient_dimension=args.max_ambient,
             max_generators=args.max_generators,
             random_seed=args.seed,

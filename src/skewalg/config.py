@@ -25,7 +25,6 @@ class ResourceLimitError(RuntimeError):
 class Config:
     max_ambient_dimension: int = 6000
     max_generators: int = 2_000_000
-    thread_count: int = 1
     output_format: str = "text"
     certificate_directory: str = "certificates"
     random_seed: int = 271828
@@ -33,8 +32,6 @@ class Config:
     def __post_init__(self):
         if self.max_ambient_dimension <= 0 or self.max_generators <= 0:
             raise ValueError("limits must be positive")
-        if self.thread_count <= 0:
-            raise ValueError("thread_count must be positive")
         if self.output_format not in ("text", "json"):
             raise ValueError("output_format must be 'text' or 'json'")
 

@@ -3,15 +3,17 @@
 The accumulator keeps a forward echelon: each pivot row has coefficient 1
 at its pivot column, leads there (the pivot is its minimum column), and
 contains no pivot column that existed when it was installed.  Rows are
-never modified afterwards, so provenance is computed exactly once per
-pivot; reducing a vector walks its columns in ascending order, and
-eliminating a pivot column only introduces larger columns, which keeps the
-sweep finite.
+never modified afterwards; reducing a vector walks its columns in
+ascending order, and eliminating a pivot column only introduces larger
+columns, which keeps the sweep finite.
 
-Provenance expresses each pivot row as an exact combination of the vectors
-that were inserted, keyed by insertion id; dependent insertions never
-enter provenance.  express_in_span recovers a certificate for any vector
-of the span by composing its pivot combination with the stored provenance.
+Provenance is stored, not composed, at insert time: each pivot keeps its
+insertion id, the inverse of its leading remainder coefficient, and the
+multipliers with which the reduction eliminated earlier pivot columns.
+Dependent insertions never enter provenance.  express_in_span composes a
+certificate on demand: it reduces the vector and back-substitutes the
+stored multipliers over the pivots it reaches, newest first, giving exact
+coefficients keyed by insertion id.
 
 Pivot choice is always the lowest column of the reduced remainder, so
 ranks, remainders and certificates are deterministic functions of the
@@ -19,7 +21,8 @@ insertion sequence.  Expressing a vector that already lies in the span of
 an earlier prefix of insertions gives the same combination no matter how
 many further pivots exist: a column that pops nonzero during the sweep
 must have its pivot inside any sufficient prefix, otherwise the vector
-could not have reduced to zero there.
+could not have reduced to zero there; the back-substitution then follows
+stored multipliers only to older pivots, which lie inside that prefix too.
 """
 
 import heapq
@@ -64,9 +67,10 @@ class EchelonAccumulator:
         self.dimension = dimension
         self.track_provenance = track_provenance
         self.rows = {}  # pivot column -> row dict
-        self.provenance = {}  # pivot column -> {insertion id -> coefficient}
+        # pivot column -> {earlier pivot column -> elimination multiplier}
+        self.provenance = {}
+        self.pivot_source = {}  # pivot column -> (insertion id, inverse)
         self.n_inserted = 0
-        self.log = []  # rank_increased flag per insertion id
         self.last_pivot = None  # pivot column installed by the latest insert
 
     @property
@@ -100,7 +104,7 @@ class EchelonAccumulator:
                 if k in rows and k not in seen and k in vec:
                     heapq.heappush(heap, k)
             if combo is not None:
-                combo[col] = combo.get(col, 0) + c
+                combo[col] = c
         return vec
 
     def insert_reduce(self, vec: dict) -> bool:
@@ -115,18 +119,14 @@ class EchelonAccumulator:
         combo = {} if self.track_provenance else None
         self._reduce(work, combo)
         if not work:
-            self.log.append(False)
             self.last_pivot = None
             return False
         pivot = min(work)
         inv = qq_div(1, work[pivot])
         self.rows[pivot] = {k: inv * v for k, v in work.items()}
         if self.track_provenance:
-            prov = {ins_id: inv}
-            for col, c in combo.items():
-                _axpy(prov, inv * c, self.provenance[col])
-            self.provenance[pivot] = prov
-        self.log.append(True)
+            self.provenance[pivot] = combo
+            self.pivot_source[pivot] = (ins_id, inv)
         self.last_pivot = pivot
         return True
 
@@ -152,11 +152,29 @@ class EchelonAccumulator:
             raise ValueError("accumulator was built without provenance tracking")
         self._check_dim(vec)
         work = dict(vec)
-        combo = {}
-        self._reduce(work, combo)
+        weights = {}
+        self._reduce(work, weights)
         if work:
             return SpanResult(None, min(work))
+        # vec = sum w_p row_p, and row_p = inv_p (inserted_p - sum m_pk row_k)
+        # over older pivots k: settle pivots newest first, so each weight is
+        # final when its pivot is popped.
+        source = self.pivot_source
+        heap = [(-source[col][0], col) for col in weights]
+        heapq.heapify(heap)
         coeffs = {}
-        for col, c in combo.items():
-            _axpy(coeffs, -c, self.provenance[col])  # adds c * provenance
+        while heap:
+            _, col = heapq.heappop(heap)
+            w = weights[col]
+            if not w:
+                continue
+            ins_id, inv = source[col]
+            s = w * inv
+            coeffs[ins_id] = s
+            for k, m in self.provenance[col].items():
+                if k in weights:
+                    weights[k] -= s * m
+                else:
+                    weights[k] = -s * m
+                    heapq.heappush(heap, (-source[k][0], k))
         return SpanResult(coeffs, None)

@@ -205,8 +205,7 @@ class MembershipCertificate:
 class ComponentSpace:
     """Echelon of one multihomogeneous T-ideal component, built incrementally."""
 
-    def __init__(self, variety: Variety, multidegree: dict, config=DEFAULT_CONFIG,
-                 track_provenance: bool = True):
+    def __init__(self, variety: Variety, multidegree: dict, config=DEFAULT_CONFIG):
         self.variety = variety
         self.multidegree = {v: e for v, e in multidegree.items() if e}
         self.config = config
@@ -216,7 +215,7 @@ class ComponentSpace:
                                      config.max_ambient_dimension)
         self.ambient = enumerate_words(self.multidegree)
         self.index = {w: i for i, w in enumerate(self.ambient)}
-        self.acc = EchelonAccumulator(len(self.ambient), track_provenance)
+        self.acc = EchelonAccumulator(len(self.ambient))
         self._stream = consequence_generators(variety, self.multidegree)
         self._descriptors = {}  # insertion id -> GenDescriptor
         self._seen_vectors = set()  # raw vectors already offered (identical
@@ -307,15 +306,15 @@ class ComponentSpace:
 _SPACE_CACHE = {}
 
 
-def component_space(variety: Variety, multidegree: dict, config=DEFAULT_CONFIG,
-                    track_provenance: bool = True) -> ComponentSpace:
+def component_space(variety: Variety, multidegree: dict,
+                    config=DEFAULT_CONFIG) -> ComponentSpace:
     """Session cache: membership, dimension and decomposition checks at the
     same component share one echelon."""
     key = (variety.fingerprint(), md_key(multidegree),
-           config.max_ambient_dimension, config.max_generators, track_provenance)
+           config.max_ambient_dimension, config.max_generators)
     space = _SPACE_CACHE.get(key)
     if space is None:
-        space = ComponentSpace(variety, multidegree, config, track_provenance)
+        space = ComponentSpace(variety, multidegree, config)
         _SPACE_CACHE[key] = space
     return space
 

@@ -1,8 +1,10 @@
-"""Independent dense linear algebra over Fractions.
+"""Independent linear algebra over Fractions.
 
 Deliberately naive and separate from skewalg.linalg: plain dense Gaussian
 elimination on lists of Fractions, used to cross-check ranks and span
-coefficients produced by the sparse accumulator.
+coefficients produced by the sparse accumulator, and a sparse echelon that
+composes provenance eagerly on every insert, used to check certificates
+entry for entry.
 """
 
 from fractions import Fraction
@@ -71,3 +73,67 @@ def dense_express(sparse_rows, target, dim):
         if aug[r][n] != 0:
             coeffs[col] = aug[r][n]
     return coeffs
+
+
+def _sub_scaled(target, c, src):
+    """target -= c * src, dropping exact zeros."""
+    for k, v in src.items():
+        nv = target.get(k, 0) - c * v
+        if nv:
+            target[k] = nv
+        elif k in target:
+            del target[k]
+
+
+class EagerProvenanceEchelon:
+    """Sparse forward echelon that composes provenance on every insert.
+
+    Same pivot rule and elimination order as the engine's accumulator, but
+    each new pivot row is expressed over the inserted vectors at once
+    (prov = inv * e_id - sum inv * c * prov[col]), and express composes
+    whole provenance rows.  Coefficients over the rank-raising insertions
+    are unique, so the engine's deferred composition must match exactly.
+    """
+
+    def __init__(self):
+        self.rows = {}        # pivot column -> row, 1 at the pivot
+        self.provenance = {}  # pivot column -> {insertion id -> coefficient}
+        self.n_inserted = 0
+
+    def _reduce(self, vec):
+        combo = {}
+        while True:
+            cols = [k for k in vec if k in self.rows]
+            if not cols:
+                return combo
+            col = min(cols)
+            c = vec[col]
+            _sub_scaled(vec, c, self.rows[col])
+            combo[col] = combo.get(col, 0) + c
+
+    def insert(self, vec):
+        ins_id = self.n_inserted
+        self.n_inserted += 1
+        work = {k: Fraction(v) for k, v in vec.items()}
+        combo = self._reduce(work)
+        if not work:
+            return False
+        pivot = min(work)
+        inv = 1 / work[pivot]
+        self.rows[pivot] = {k: inv * v for k, v in work.items()}
+        prov = {ins_id: inv}
+        for col, c in combo.items():
+            _sub_scaled(prov, inv * c, self.provenance[col])
+        self.provenance[pivot] = prov
+        return True
+
+    def express(self, vec):
+        """{insertion id -> coefficient} when vec is in the span, else None."""
+        work = {k: Fraction(v) for k, v in vec.items()}
+        combo = self._reduce(work)
+        if work:
+            return None
+        coeffs = {}
+        for col, c in combo.items():
+            _sub_scaled(coeffs, -c, self.provenance[col])
+        return coeffs

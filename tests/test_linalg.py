@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import dense_express, dense_rank
+from oracles import EagerProvenanceEchelon, dense_express, dense_rank
 from skewalg.linalg import EchelonAccumulator
 from skewalg.rationals import QQ
 
@@ -17,7 +19,6 @@ def test_insert_rank_examples():
     assert acc.insert_reduce({0: QQ(1), 1: QQ(1)}) is True
     assert acc.insert_reduce({0: QQ(2), 1: QQ(2)}) is False
     assert acc.rank == 1
-    assert acc.log == [True, False]
 
     before = acc.rank
     assert acc.insert_reduce({}) is False
@@ -152,14 +153,52 @@ def test_rows_lead_at_pivot_with_unit_coefficient():
     for pivot, row in acc.rows.items():
         assert min(row) == pivot
         assert row[pivot] == 1
-    # provenance re-expands every pivot row exactly
-    for pivot, prov in acc.provenance.items():
+        # stored provenance re-expands the row exactly
+        coeffs, witness = acc.express_in_span(row)
+        assert witness is None
         rebuilt = {}
-        for ins_id, c in prov.items():
+        for ins_id, c in coeffs.items():
             for k, val in vecs[ins_id].items():
                 nv = rebuilt.get(k, 0) + c * val
                 if nv:
                     rebuilt[k] = nv
                 elif k in rebuilt:
                     del rebuilt[k]
-        assert rebuilt == acc.rows[pivot]
+        assert rebuilt == row
+
+
+@st.composite
+def _vector_sets(draw):
+    """(dimension, sparse rational vectors, target); the target is either a
+    combination of the vectors or arbitrary."""
+    dim = draw(st.integers(1, 10))
+    coeff = st.builds(QQ, st.integers(-6, 6).filter(bool), st.integers(1, 4))
+    vector = st.dictionaries(st.integers(0, dim - 1), coeff, max_size=min(dim, 6))
+    vecs = draw(st.lists(vector, min_size=1, max_size=12))
+    if draw(st.booleans()):
+        return dim, vecs, draw(vector)
+    target = {}
+    for v in vecs:
+        c = draw(st.integers(-3, 3))
+        for k, val in v.items():
+            nv = target.get(k, 0) + c * val
+            if nv:
+                target[k] = nv
+            elif k in target:
+                del target[k]
+    return dim, vecs, target
+
+
+@settings(max_examples=300, deadline=None)
+@given(_vector_sets())
+def test_deferred_provenance_matches_eager_oracle(case):
+    dim, vecs, target = case
+    acc = EchelonAccumulator(dim)
+    oracle = EagerProvenanceEchelon()
+    for v in vecs:
+        assert acc.insert_reduce(v) == oracle.insert(v)
+    assert acc.rows == oracle.rows
+    coeffs, witness = acc.express_in_span(target)
+    assert coeffs == oracle.express(target)
+    assert (coeffs is None) == (dense_express(vecs, target, dim) is None)
+    assert (witness is None) == (coeffs is not None)

@@ -1,8 +1,9 @@
 import json
+import random
 
 import pytest
 
-from oracles import dense_rank
+from oracles import EagerProvenanceEchelon, dense_rank
 from skewalg.config import Config, ResourceLimitError
 from skewalg.poly import (MultiPoly, commutator, jordan, multiply, parse_poly,
                           substitute)
@@ -251,3 +252,33 @@ def test_dimensions_against_dense_oracle_random_components():
             vecs = [space.vec(p) for p, _ in consequence_generators(variety, degree)]
             expected = len(space.ambient) - dense_rank(vecs, len(space.ambient))
             assert component_dimension(variety, degree) == expected
+
+
+@pytest.mark.parametrize("variety, degree", [(ALT, md(1, 1, 1, 1)), (FLEX, md(2, 1, 1))])
+def test_membership_certificates_match_eager_oracle(variety, degree):
+    space = ComponentSpace(variety, degree)
+    inserted = []
+    insert = space.acc.insert_reduce
+
+    def record(vec):
+        inserted.append(dict(vec))
+        return insert(vec)
+
+    space.acc.insert_reduce = record
+    gens = [p for p, _ in consequence_generators(variety, degree)]
+    rng = random.Random(61)
+    for _ in range(8):
+        target = MultiPoly.zero()
+        for p in rng.sample(gens, rng.randint(2, 4)):
+            target = target + p.scale(rng.randint(-3, 3) or 1)
+        if target.is_zero():
+            continue
+        ok, cert, _ = space.membership(target)
+        assert ok
+        oracle = EagerProvenanceEchelon()
+        for v in inserted:
+            oracle.insert(v)
+        expected = sorted(oracle.express(space.vec(target)).items())
+        assert [c for _, c in cert.entries] == [c for _, c in expected]
+        for (desc, _), (ins_id, _) in zip(cert.entries, expected):
+            assert space.vec(expand_descriptor(variety, desc)) == inserted[ins_id]
