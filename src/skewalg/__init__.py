@@ -6,19 +6,18 @@ from .family import (BaseDescriptor, SkewDecomposition, SuperWord,
                      associative_projection, base_descriptors, base_element,
                      basea_count, fm, n_bound, solve_skew_decomposition,
                      standard_polynomial, super_commutator, super_jordan,
-                     super_product, t_element, t_power, u_word, x_bracket,
-                     z_word)
+                     t_element, t_power, u_word, x_bracket, z_word)
 from .linalg import EchelonAccumulator, SpanResult
-from .poly import (MultiPoly, ParseError, associator, commutator,
-                   derived_product, format_poly, jordan, multiply,
-                   parse_identity_file, parse_poly, parse_word, substitute)
+from .poly import (MultiPoly, ParseError, associator, commutator, format_poly,
+                   jordan, multiply, parse_identity_file, parse_poly,
+                   parse_word, substitute)
 from .rationals import QQ
 from .symmetrize import alternate, collapse, linearize, skew
 from .variety import (ComponentSpace, GenDescriptor, MembershipCertificate,
                       MembershipResult, Variety, builtin_variety,
                       clear_space_cache, component_dimension, component_space,
                       consequence_generators, expand_descriptor, is_member)
-from .verify import CHECKS, DESK_SUITE, Report, run_desk_suite, verify
+from .verify import CHECKS, DESK_SUITE, Report, verify
 from .words import (HOLE, degree, enumerate_words, format_word, leaves,
                     multidegree_of, word_count)
 

@@ -24,7 +24,7 @@ from math import comb
 
 from .config import DEFAULT_CONFIG
 from .linalg import EchelonAccumulator
-from .poly import MultiPoly, commutator, multiply, substitute
+from .poly import MultiPoly, add_terms, commutator, multiply, substitute
 from .rationals import QQ
 from .symmetrize import as_one_variable, permutation_sign, skew
 from .variety import builtin_variety, component_space
@@ -39,7 +39,7 @@ def fm(m: int) -> MultiPoly:
     if m == 1:
         return MultiPoly.variable(1)
     prev = fm(m - 1)
-    acc = MultiPoly.zero()
+    acc = {}
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
             sign = 1 if (i + j) % 2 else -1  # (-1)^(i+j-1)
@@ -47,9 +47,9 @@ def fm(m: int) -> MultiPoly:
             assignment = {1: commutator(MultiPoly.variable(i), MultiPoly.variable(j))}
             for slot, var in enumerate(rest, start=2):
                 assignment[slot] = MultiPoly.variable(var)
-            term = substitute(prev, assignment)
-            acc = acc + (term.scale(sign) if sign < 0 else term)
-    return acc
+            add_terms(acc, ((w, sign * c)
+                            for w, c in substitute(prev, assignment).terms.items()))
+    return MultiPoly(acc)
 
 
 # -- one-odd-generator super-bracket words -----------------------------------
@@ -90,14 +90,6 @@ def super_jordan(a: SuperWord, b: SuperWord) -> SuperWord:
     sign = -1 if (a.parity and b.parity) else 1
     p = multiply(a.poly, b.poly) + multiply(b.poly, a.poly).scale(sign)
     return SuperWord(p, a.degree + b.degree)
-
-
-def super_product(kind: str, a: SuperWord, b: SuperWord) -> SuperWord:
-    if kind == "commutator":
-        return super_commutator(a, b)
-    if kind == "jordan":
-        return super_jordan(a, b)
-    raise ValueError(f"unknown super product kind {kind!r}")
 
 
 @lru_cache(maxsize=None)
@@ -262,21 +254,12 @@ def n_bound(m: int) -> int:
 
 def associative_projection(p: MultiPoly) -> dict:
     """Image under forgetting the bracketing: word -> tuple of its leaves."""
-    acc = {}
-    for w, c in p.terms.items():
-        key = tuple(leaves(w))
-        nc = acc.get(key, 0) + c
-        if nc:
-            acc[key] = nc
-        elif key in acc:
-            del acc[key]
-    return acc
+    return add_terms({}, ((tuple(leaves(w)), c) for w, c in p.terms.items()))
 
 
 def standard_polynomial(n: int) -> dict:
     """S_n as an associative polynomial: sum of sgn(s) x_{s(1)}...x_{s(n)}."""
-    return {perm: QQ(permutation_sign(perm))
-            for perm in permutations(range(1, n + 1))}
+    return {perm: permutation_sign(perm) for perm in permutations(range(1, n + 1))}
 
 
 # -- skew decomposition (two-parameter solve) ---------------------------------
@@ -315,7 +298,7 @@ def solve_skew_decomposition(m: int, config=DEFAULT_CONFIG) -> SkewDecomposition
     r2 = space.residual_of(s2) if s2 else {}
     rt = space.residual_of(fm(m))
 
-    tiny = EchelonAccumulator(len(space.ambient), track_provenance=True)
+    tiny = EchelonAccumulator(len(space.ambient))
     tiny.insert_reduce(r1)                       # insertion id 0
     z_independent = tiny.insert_reduce(r2) if r2 else False  # id 1
     coeffs, _ = tiny.express_in_span(rt)

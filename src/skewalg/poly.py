@@ -11,17 +11,43 @@ immutable by convention.  The text format is
 
 with an optional leading '-' on the first term and the single token '0'
 for the zero polynomial.  format/parse round-trip exactly.
+
+Coefficients are exact: plain ints until a division happens (a '/' in the
+text, a rational scale factor, an echelon pivot), QQ rationals after.
+Integer work therefore never pays for rational normalisation.
 """
 
 import re
 
 from .rationals import QQ, qq_str
-from .words import (HOLE, ShapeTable, degree, format_word, md_key,
-                    multidegree_of, relabel, sort_key)
+from .words import (HOLE, ShapeTable, format_word, md_key, multidegree_of,
+                    relabel, sort_key)
 
 
 class ParseError(ValueError):
     pass
+
+
+def add_terms(acc: dict, pairs) -> dict:
+    """Add (key, coefficient) pairs into acc in place, dropping exact zeros.
+
+    Every signed sum in the package goes through here; returns acc.
+    """
+    get = acc.get
+    for k, c in pairs:
+        nc = get(k, 0) + c
+        if nc:
+            acc[k] = nc
+        else:
+            acc.pop(k, None)
+    return acc
+
+
+def _wrap(terms: dict) -> "MultiPoly":
+    """A MultiPoly owning terms, which must already be free of zeros."""
+    out = MultiPoly.__new__(MultiPoly)
+    out.terms = terms
+    return out
 
 
 class MultiPoly:
@@ -30,12 +56,7 @@ class MultiPoly:
     __slots__ = ("terms", "_shapes")
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for w, c in terms.items():
-                if c:
-                    clean[w] = c
-        self.terms = clean
+        self.terms = {w: c for w, c in terms.items() if c} if terms else {}
 
     def shape_view(self):
         """Cached (shape table, [(shape id, leaves, coeff)]) decomposition.
@@ -63,11 +84,16 @@ class MultiPoly:
     def variable(i: int) -> "MultiPoly":
         if i < 1:
             raise ValueError("variable indices start at 1")
-        return MultiPoly({i: QQ(1)})
+        return MultiPoly({i: 1})
 
     @staticmethod
     def monomial(word, coeff=1) -> "MultiPoly":
-        return MultiPoly({word: QQ(coeff)})
+        return MultiPoly({word: coeff})
+
+    @staticmethod
+    def from_pairs(pairs) -> "MultiPoly":
+        """The sum of (word, coefficient) pairs; repeated words combine."""
+        return _wrap(add_terms({}, pairs))
 
     # -- basic structure ---------------------------------------------------
 
@@ -83,9 +109,6 @@ class MultiPoly:
     def items(self):
         """Terms in canonical word order."""
         return sorted(self.terms.items(), key=lambda t: sort_key(t[0]))
-
-    def coefficient(self, word):
-        return self.terms.get(word, QQ(0))
 
     def variables(self) -> set:
         vs = set()
@@ -116,30 +139,13 @@ class MultiPoly:
     def __add__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        acc = dict(self.terms)
-        for w, c in other.terms.items():
-            nc = acc.get(w, 0) + c
-            if nc:
-                acc[w] = nc
-            elif w in acc:
-                del acc[w]
-        out = MultiPoly.__new__(MultiPoly)
-        out.terms = acc
-        return out
+        return _wrap(add_terms(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        acc = dict(self.terms)
-        for w, c in other.terms.items():
-            nc = acc.get(w, 0) - c
-            if nc:
-                acc[w] = nc
-            elif w in acc:
-                del acc[w]
-        out = MultiPoly.__new__(MultiPoly)
-        out.terms = acc
-        return out
+        return _wrap(add_terms(dict(self.terms),
+                               ((w, -c) for w, c in other.terms.items())))
 
     def __neg__(self):
         return self.scale(-1)
@@ -147,9 +153,7 @@ class MultiPoly:
     def scale(self, c) -> "MultiPoly":
         if not c:
             return MultiPoly()
-        out = MultiPoly.__new__(MultiPoly)
-        out.terms = {w: c * v for w, v in self.terms.items()}
-        return out
+        return _wrap({w: c * v for w, v in self.terms.items()})
 
     def __rmul__(self, c):
         if isinstance(c, MultiPoly):
@@ -175,17 +179,13 @@ class MultiPoly:
 
 
 def multiply(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Bilinear extension of the magma pairing; on words (u, v) -> (u v)."""
-    acc = {}
-    for wp, cp in p.terms.items():
-        for wq, cq in q.terms.items():
-            key = (wp, wq)
-            nc = acc.get(key, 0) + cp * cq
-            if nc:
-                acc[key] = nc
-            elif key in acc:
-                del acc[key]
-    return MultiPoly(acc)
+    """Bilinear extension of the magma pairing; on words (u, v) -> (u v).
+
+    The pairs (wp, wq) are distinct and products of nonzero coefficients
+    are nonzero, so nothing combines or cancels.
+    """
+    return _wrap({(wp, wq): cp * cq for wp, cp in p.terms.items()
+                  for wq, cq in q.terms.items()})
 
 
 def commutator(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -203,14 +203,6 @@ def associator(a: MultiPoly, b: MultiPoly, c: MultiPoly) -> MultiPoly:
     return multiply(multiply(a, b), c) - multiply(a, multiply(b, c))
 
 
-def derived_product(kind: str, *args: MultiPoly) -> MultiPoly:
-    """Dispatch on {commutator, jordan, associator}; arity checked."""
-    forms = {"commutator": commutator, "jordan": jordan, "associator": associator}
-    if kind not in forms:
-        raise ValueError(f"unknown product kind {kind!r}")
-    return forms[kind](*args)
-
-
 def _substitute_word(w, images: dict) -> dict:
     """Expansion of one word under leaf -> MultiPoly images; returns a raw dict."""
     if isinstance(w, int):
@@ -220,11 +212,7 @@ def _substitute_word(w, images: dict) -> dict:
             raise ValueError(f"no assignment for variable x{w}") from None
     left = _substitute_word(w[0], images)
     right = _substitute_word(w[1], images)
-    out = {}
-    for wl, cl in left.items():
-        for wr, cr in right.items():
-            out[(wl, wr)] = cl * cr
-    return out
+    return {(wl, wr): cl * cr for wl, cl in left.items() for wr, cr in right.items()}
 
 
 def substitute(p: MultiPoly, assignment: dict) -> MultiPoly:
@@ -232,28 +220,13 @@ def substitute(p: MultiPoly, assignment: dict) -> MultiPoly:
 
     Every variable occurring in p must be assigned.
     """
-    acc = {}
-    for w, c in p.terms.items():
-        for w2, c2 in _substitute_word(w, assignment).items():
-            nc = acc.get(w2, 0) + c * c2
-            if nc:
-                acc[w2] = nc
-            elif w2 in acc:
-                del acc[w2]
-    return MultiPoly(acc)
+    return MultiPoly.from_pairs((w2, c * c2) for w, c in p.terms.items()
+                                for w2, c2 in _substitute_word(w, assignment).items())
 
 
 def relabel_poly(p: MultiPoly, mapping: dict) -> MultiPoly:
     """Leaf relabelling x_v -> x_mapping[v]; cheaper than substitute for renamings."""
-    acc = {}
-    for w, c in p.terms.items():
-        w2 = relabel(w, mapping)
-        nc = acc.get(w2, 0) + c
-        if nc:
-            acc[w2] = nc
-        elif w2 in acc:
-            del acc[w2]
-    return MultiPoly(acc)
+    return MultiPoly.from_pairs((relabel(w, mapping), c) for w, c in p.terms.items())
 
 
 # -- text format -------------------------------------------------------------
@@ -318,7 +291,7 @@ class _Parser:
             if d == 0:
                 raise ParseError("zero denominator")
             return QQ(sign * n, d)
-        return QQ(sign * n)
+        return sign * n
 
     def term(self, sign):
         t = self.peek()
@@ -326,26 +299,23 @@ class _Parser:
             c = self.rational(sign)
             self.take("*")
             return self.word(), c
-        return self.word(), QQ(sign)
+        return self.word(), sign
 
     def poly(self):
         if self.toks == ["0"]:
             return MultiPoly.zero()
-        acc = {}
+        return MultiPoly.from_pairs(self._terms())
+
+    def _terms(self):
         sign = 1
         if self.peek() == "-":
             self.take()
             sign = -1
         while True:
-            w, c = self.term(sign)
-            nc = acc.get(w, 0) + c
-            if nc:
-                acc[w] = nc
-            elif w in acc:
-                del acc[w]
+            yield self.term(sign)
             t = self.peek()
             if t is None:
-                break
+                return
             if t == "+":
                 sign = 1
             elif t == "-":
@@ -353,13 +323,10 @@ class _Parser:
             else:
                 raise ParseError(f"expected '+' or '-', got {t!r}")
             self.take()
-        return MultiPoly(acc)
 
 
 def parse_poly(s: str) -> MultiPoly:
-    p = _Parser(_tokenize(s))
-    out = p.poly()
-    return out
+    return _Parser(_tokenize(s)).poly()
 
 
 def parse_word(s: str, allow_hole=False):
@@ -398,11 +365,3 @@ def parse_identity_file(text: str) -> list:
         except ParseError as e:
             raise ParseError(f"line {ln}: {e}") from None
     return out
-
-
-def poly_degree(p: MultiPoly) -> int:
-    """Common degree of a homogeneous polynomial."""
-    degs = {degree(w) for w in p.terms}
-    if len(degs) != 1:
-        raise ValueError("polynomial is not homogeneous")
-    return degs.pop()

@@ -1,18 +1,17 @@
 """Exact rational coefficients.
 
-gmpy2's mpq is used when available (roughly an order of magnitude faster
-than fractions.Fraction in the row-reduction inner loops); the stdlib
-Fraction is a drop-in fallback.  Both keep values in lowest terms with a
-positive denominator and never round.
+Coefficients are plain ints until a division happens; QQ holds them after
+(echelon pivots, '/' in parsed text, rational scale factors).  gmpy2's mpq
+is used when available (roughly an order of magnitude faster than
+fractions.Fraction in the row-reduction inner loops); the stdlib Fraction
+is a drop-in fallback.  Both keep values in lowest terms with a positive
+denominator and never round, and both mix exactly with int.
 """
 
 try:
     from gmpy2 import mpq as QQ
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     from fractions import Fraction as QQ
-
-ZERO = QQ(0)
-ONE = QQ(1)
 
 
 def qq_div(a, b):

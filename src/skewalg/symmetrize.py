@@ -12,7 +12,7 @@ integral and certificates remain exact.
 
 from itertools import permutations, product
 
-from .poly import MultiPoly, relabel_poly
+from .poly import MultiPoly, add_terms
 
 
 def permutation_sign(perm) -> int:
@@ -63,17 +63,9 @@ def skew(u: MultiPoly) -> MultiPoly:
         return MultiPoly.zero()
     var, n = as_one_variable(u)
     perms = [(permutation_sign(s), dict(enumerate(s, start=1))) for s in permutations(range(1, n + 1))]
-    acc = {}
-    for w, c in u.terms.items():
-        base = _positional(w, [0])
-        for sign, mapping in perms:
-            w2 = _relabel_raw(base, mapping)
-            nc = acc.get(w2, 0) + sign * c
-            if nc:
-                acc[w2] = nc
-            elif w2 in acc:
-                del acc[w2]
-    return MultiPoly(acc)
+    bases = [(_positional(w, [0]), c) for w, c in u.terms.items()]
+    return MultiPoly.from_pairs((_relabel_raw(base, mapping), sign * c)
+                                for base, c in bases for sign, mapping in perms)
 
 
 def _relabel_raw(w, mapping):
@@ -92,18 +84,9 @@ def alternate(p: MultiPoly) -> MultiPoly:
     if not p.is_multilinear():
         raise ValueError("alternate requires a multilinear polynomial")
     vs = sorted(p.variables())
-    acc = {}
-    for s in permutations(vs):
-        sign = permutation_sign(s)
-        mapping = dict(zip(vs, s))
-        for w, c in p.terms.items():
-            w2 = _relabel_raw(w, mapping)
-            nc = acc.get(w2, 0) + sign * c
-            if nc:
-                acc[w2] = nc
-            elif w2 in acc:
-                del acc[w2]
-    return MultiPoly(acc)
+    perms = [(permutation_sign(s), dict(zip(vs, s))) for s in permutations(vs)]
+    return MultiPoly.from_pairs((_relabel_raw(w, mapping), sign * c)
+                                for sign, mapping in perms for w, c in p.terms.items())
 
 
 def collapse(p: MultiPoly, i: int, j: int) -> MultiPoly:
@@ -116,14 +99,8 @@ def collapse(p: MultiPoly, i: int, j: int) -> MultiPoly:
     if i == j:
         return p
     table, dec = p.shape_view()
-    acc = {}
-    for sid, lv, c in dec:
-        key = (sid, tuple(i if v == j else v for v in lv))
-        nc = acc.get(key, 0) + c
-        if nc:
-            acc[key] = nc
-        elif key in acc:
-            del acc[key]
+    acc = add_terms({}, (((sid, tuple(i if v == j else v for v in lv)), c)
+                         for sid, lv, c in dec))
     return MultiPoly({table.rebuild(sid, iter(lv)): c for (sid, lv), c in acc.items()})
 
 
@@ -143,17 +120,10 @@ def linearize(p: MultiPoly) -> MultiPoly:
     for v in vs:
         blocks[v] = list(range(offset + 1, offset + 1 + md[v]))
         offset += md[v]
-    acc = {}
-    for w, c in p.terms.items():
-        for choice in product(*(permutations(blocks[v]) for v in vs)):
-            labels = dict(zip(vs, (list(t) for t in choice)))
-            w2 = _linearize_word(w, labels)
-            nc = acc.get(w2, 0) + c
-            if nc:
-                acc[w2] = nc
-            elif w2 in acc:
-                del acc[w2]
-    return MultiPoly(acc)
+    return MultiPoly.from_pairs(
+        (_linearize_word(w, dict(zip(vs, map(list, choice)))), c)
+        for w, c in p.terms.items()
+        for choice in product(*(permutations(blocks[v]) for v in vs)))
 
 
 def _linearize_word(w, labels):
@@ -162,18 +132,3 @@ def _linearize_word(w, labels):
         return labels[w].pop(0)
     return (_linearize_word(w[0], labels), _linearize_word(w[1], labels))
 
-
-def restrict_linearization(q: MultiPoly, md: dict) -> MultiPoly:
-    """Inverse-direction helper: send the block variables of linearize back.
-
-    md is the original multidegree; the mapping mirrors linearize's block
-    numbering, with each original variable receiving its whole block.
-    """
-    vs = sorted(md)
-    mapping = {}
-    offset = 0
-    for v in vs:
-        for k in range(offset + 1, offset + 1 + md[v]):
-            mapping[k] = v
-        offset += md[v]
-    return relabel_poly(q, mapping)

@@ -106,18 +106,16 @@ class GenDescriptor:
 
 
 def expand_descriptor(variety: Variety, desc: GenDescriptor) -> MultiPoly:
-    """Rebuild the generator polynomial; shares no code with the solver."""
+    """Rebuild the generator polynomial from its descriptor.
+
+    consequence_generators expands every streamed generator with this too.
+    MembershipCertificate.recheck shares no code with the echelon, and the
+    benchmark's perfbench/reference.py is a separate expander.
+    """
     f = variety.identities[desc.identity_index]
     images = {i + 1: w for i, w in enumerate(desc.substitution)}
-    acc = {}
-    for w, c in f.terms.items():
-        w2 = replace_hole(desc.context, graft(w, images))
-        nc = acc.get(w2, 0) + c
-        if nc:
-            acc[w2] = nc
-        elif w2 in acc:
-            del acc[w2]
-    return MultiPoly(acc)
+    return MultiPoly.from_pairs((replace_hole(desc.context, graft(w, images)), c)
+                                for w, c in f.terms.items())
 
 
 def _compositions(n: int, parts: int):
@@ -288,9 +286,7 @@ class ComponentSpace:
                 self.acc.rereduce(residual)
         if residual:
             return False, None, self.ambient[min(residual)]
-        coeffs, _ = self.acc.express_in_span(vec)
-        entries = [(self._descriptors[i], c) for i, c in sorted(coeffs.items())]
-        cert = MembershipCertificate(p, self.variety.name, self.multidegree, entries)
+        cert, _ = self.express(p)
         return True, cert, None
 
     def express(self, p: MultiPoly):

@@ -20,7 +20,7 @@ from .family import (associative_projection, base_element, basea_count,
                      fm, solve_skew_decomposition, standard_polynomial,
                      x_bracket, BaseDescriptor)
 from .linalg import EchelonAccumulator
-from .poly import MultiPoly, commutator, jordan, multiply, substitute
+from .poly import MultiPoly, add_terms, commutator, jordan, multiply, substitute
 from .rationals import qq_str
 from .symmetrize import alternate, collapse, skew
 from .variety import (builtin_variety, component_dimension, component_space,
@@ -157,7 +157,7 @@ def check_skew_dim(params, config):
     alt = builtin_variety("alt")
     space = component_space(alt, {i: 1 for i in range(1, d + 1)}, config)
     space.saturate()
-    quotient_rank = EchelonAccumulator(len(space.ambient), track_provenance=False)
+    quotient_rank = EchelonAccumulator(len(space.ambient))
     for shape in _bracketing_shapes(d):
         image = alternate(MultiPoly.monomial(shape))
         quotient_rank.insert_reduce(space.residual_of(image))
@@ -181,15 +181,8 @@ def _binary_words(max_degree: int):
 
 def _evaluate_associative(proj: dict, words: tuple) -> dict:
     """Evaluate a multilinear associative polynomial at associative words."""
-    acc = {}
-    for term, c in proj.items():
-        image = tuple(chain.from_iterable(words[v - 1] for v in term))
-        nc = acc.get(image, 0) + c
-        if nc:
-            acc[image] = nc
-        elif image in acc:
-            del acc[image]
-    return acc
+    return add_terms({}, ((tuple(chain.from_iterable(words[v - 1] for v in term)), c)
+                          for term, c in proj.items()))
 
 
 def _cor2_body(m: int, degree_bound: int, config):
@@ -288,15 +281,8 @@ def check_cor4_tiny(params, config):
     s = skew(x_bracket(4).poly)
     failures = 0
     for exps in product((1, 2, 3), repeat=4):
-        acc = {}
-        for w, c in s.terms.items():
-            e = sum(exps[v - 1] for v in leaves(w))
-            nc = acc.get(e, 0) + c
-            if nc:
-                acc[e] = nc
-            elif e in acc:
-                del acc[e]
-        if acc:
+        if add_terms({}, ((sum(exps[v - 1] for v in leaves(w)), c)
+                          for w, c in s.terms.items())):
             failures += 1
     details = {"substitutions": 3 ** 4, "nonzero": failures}
     return ("pass" if failures == 0 else "fail"), details, []
@@ -324,7 +310,7 @@ def check_eq6(params, config):
     target = space.residual_of(skew(x_bracket(m).poly))
     r1 = space.residual_of(fm(m))
     r2 = space.residual_of(bracket_sum)
-    tiny = EchelonAccumulator(len(space.ambient), track_provenance=True)
+    tiny = EchelonAccumulator(len(space.ambient))
     tiny.insert_reduce(r1)
     tiny.insert_reduce(r2)
     coeffs, _ = tiny.express_in_span(target)
@@ -402,13 +388,13 @@ def check_engine_soundness(params, config):
             vec = {rng.randrange(dim): rng.randint(-5, 5)
                    for _ in range(rng.randint(1, min(dim, 6)))}
             vecs.append({k: v for k, v in vec.items() if v})
-        base_acc = EchelonAccumulator(dim, track_provenance=False)
+        base_acc = EchelonAccumulator(dim)
         for v in vecs:
             base_acc.insert_reduce(v)
         for _ in range(n_shuffles):
             order = list(range(len(vecs)))
             rng.shuffle(order)
-            acc = EchelonAccumulator(dim, track_provenance=False)
+            acc = EchelonAccumulator(dim)
             for i in order:
                 acc.insert_reduce(vecs[i])
             if acc.rank != base_acc.rank:
@@ -507,8 +493,3 @@ def verify(check: str, params=None, config=DEFAULT_CONFIG) -> Report:
         paths = []
     elapsed = int((time.perf_counter() - t0) * 1000)
     return Report(check, merged, verdict, details, paths, elapsed)
-
-
-def run_desk_suite(config=DEFAULT_CONFIG):
-    """The full desk-scale battery; returns the report list."""
-    return [verify(name, params, config) for name, params in DESK_SUITE]

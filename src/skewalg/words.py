@@ -19,10 +19,6 @@ HOLE = 0
 Word = int | tuple  # structural: tuple entries are Words again
 
 
-def is_leaf(w) -> bool:
-    return isinstance(w, int)
-
-
 def degree(w) -> int:
     """Number of leaves."""
     if isinstance(w, int):
@@ -124,13 +120,9 @@ def md_key(md) -> tuple:
     return tuple(sorted((v, e) for v, e in md.items() if e))
 
 
-def md_total(md) -> int:
-    return sum(md.values())
-
-
 def word_count(md) -> int:
     """(n! / prod d_i!) * Catalan(n-1) words of multidegree md, n = total degree."""
-    n = md_total(md)
+    n = sum(md.values())
     if n == 0:
         return 0
     multinomial = factorial(n) // prod(factorial(e) for e in md.values())

@@ -7,7 +7,7 @@ from skewalg.family import (BaseDescriptor, SuperWord, associative_projection,
                             base_descriptors, base_element, basea_count, fm,
                             n_bound, odd_generator, solve_skew_decomposition,
                             standard_polynomial, super_commutator,
-                            super_jordan, super_product, t_element, t_power,
+                            super_jordan, t_element, t_power,
                             u_word, x_bracket, z_word)
 from skewalg.poly import MultiPoly, commutator, parse_poly
 from skewalg.rationals import QQ
@@ -78,14 +78,6 @@ def test_super_antisymmetry_rule():
         sign = -1 if (da % 2 and db % 2) else 1
         assert super_commutator(a, b).poly == super_commutator(b, a).poly.scale(-sign)
         assert super_jordan(a, b).poly == super_jordan(b, a).poly.scale(sign)
-
-
-def test_super_product_dispatch():
-    x = odd_generator()
-    assert super_product("commutator", x, x).poly == parse_poly("2*(x1*x1)")
-    assert super_product("jordan", x, x).poly.is_zero()
-    with pytest.raises(ValueError):
-        super_product("plain", x, x)
 
 
 def test_superword_validation():

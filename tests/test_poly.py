@@ -1,12 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from skewalg.poly import (MultiPoly, ParseError, associator, commutator,
-                          derived_product, format_poly, jordan, multiply,
+from skewalg.family import fm, x_bracket
+from skewalg.poly import (MultiPoly, ParseError, add_terms, associator,
+                          commutator, format_poly, jordan, multiply,
                           parse_identity_file, parse_poly, parse_word,
-                          poly_degree, relabel_poly, substitute)
+                          relabel_poly, substitute)
 from skewalg.rationals import QQ
+from skewalg.symmetrize import linearize, skew
 from skewalg.words import enumerate_words
 
 x1 = MultiPoly.variable(1)
@@ -35,14 +39,6 @@ def test_derived_products():
     assert commutator(x1, x2) == parse_poly("(x1*x2) - (x2*x1)")
     assert associator(x1, x2, x3) == parse_poly("((x1*x2)*x3) - (x1*(x2*x3))")
     assert jordan(x1, x1) == parse_poly("2*(x1*x1)")
-    assert derived_product("commutator", x1, x2) == commutator(x1, x2)
-    assert derived_product("associator", x1, x2, x3) == associator(x1, x2, x3)
-    with pytest.raises(TypeError):
-        derived_product("associator", x1, x2)
-    with pytest.raises(TypeError):
-        derived_product("jordan", x1, x2, x3)
-    with pytest.raises(ValueError):
-        derived_product("nope", x1, x2)
 
 
 def test_substitute_examples():
@@ -132,7 +128,7 @@ def test_parse_identity_file():
     """
     ids = parse_identity_file(text)
     assert len(ids) == 2
-    assert poly_degree(ids[1]) == 2
+    assert ids[1] == parse_poly("(x1*x1)")
     with pytest.raises(ParseError):
         parse_identity_file("x1 +")
 
@@ -162,6 +158,47 @@ def test_scalar_arithmetic():
     assert relabel_poly(p, {1: 2, 2: 1}) == parse_poly("(x2*x1) - 2*(x1*x2)")
 
 
-def test_poly_degree_errors():
-    with pytest.raises(ValueError):
-        poly_degree(parse_poly("x1 + (x1*x1)"))
+@st.composite
+def _start_and_pairs(draw):
+    """A zero-free start dict and (key, int or rational) pairs in which some
+    keys are forced to cancel exactly."""
+    coeff = st.one_of(st.integers(-4, 4),
+                      st.builds(QQ, st.integers(-4, 4), st.integers(1, 3)))
+    start = draw(st.dictionaries(st.integers(0, 5), coeff.filter(bool), max_size=4))
+    pairs = draw(st.lists(st.tuples(st.integers(0, 5), coeff), max_size=20))
+    totals = dict(start)
+    for k, c in pairs:
+        totals[k] = totals.get(k, 0) + c
+    for k in draw(st.lists(st.sampled_from(sorted(totals)), unique=True)) if totals else ():
+        pairs.append((k, -totals[k]))
+    return start, draw(st.permutations(pairs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_start_and_pairs())
+def test_add_terms_matches_naive_sum(case):
+    start, pairs = case
+    naive = dict(start)
+    for k, c in pairs:
+        naive[k] = naive.get(k, 0) + c
+    acc = dict(start)
+    assert add_terms(acc, iter(pairs)) is acc
+    assert acc == {k: c for k, c in naive.items() if c}
+    assert all(acc.values())
+
+
+def test_integer_work_keeps_int_coefficients():
+    x1, x2 = MultiPoly.variable(1), MultiPoly.variable(2)
+    integral = [fm(5), skew(x_bracket(5).poly),
+                linearize(associator(multiply(x1, x1), x2, x1)),
+                parse_poly("2*(x1*x2) - x3")]
+    for p in integral:
+        assert p and all(type(c) is int for c in p.terms.values())
+    half = parse_poly("1/2*x1")
+    assert type(half.terms[1]) is not int and half.terms[1] == QQ(1, 2)
+    assert format_poly(integral[3]) == "-1*x3 + 2*(x1*x2)"
+    assert format_poly(half) == "1/2*x1"
+    assert format_poly(skew(x_bracket(3).poly)) == (
+        "2*((x1*x2)*x3) - 2*((x1*x3)*x2) - 2*((x2*x1)*x3) + 2*((x2*x3)*x1)"
+        " + 2*((x3*x1)*x2) - 2*((x3*x2)*x1) - 2*(x1*(x2*x3)) + 2*(x1*(x3*x2))"
+        " + 2*(x2*(x1*x3)) - 2*(x2*(x3*x1)) - 2*(x3*(x1*x2)) + 2*(x3*(x2*x1))")

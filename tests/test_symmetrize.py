@@ -7,8 +7,7 @@ import pytest
 from skewalg.poly import MultiPoly, multiply, parse_poly, relabel_poly
 from skewalg.rationals import QQ
 from skewalg.symmetrize import (alternate, as_one_variable, collapse,
-                                linearize, permutation_sign,
-                                restrict_linearization, skew)
+                                linearize, permutation_sign, skew)
 from skewalg.words import enumerate_words
 
 
@@ -47,7 +46,12 @@ def test_linearize_restriction_recovers_multiple():
         p = parse_poly(text)
         lin = linearize(p)
         assert lin.is_multilinear()
-        back = restrict_linearization(lin, md)
+        # linearize numbers fresh variables in blocks, sorted by original
+        blocks, offset = {}, 0
+        for v in sorted(md):
+            blocks.update({k: v for k in range(offset + 1, offset + 1 + md[v])})
+            offset += md[v]
+        back = relabel_poly(lin, blocks)
         scale = 1
         for e in md.values():
             scale *= factorial(e)
