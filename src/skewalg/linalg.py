@@ -1,32 +1,44 @@
-"""Incremental exact-rational row reduction with provenance.
+"""Incremental exact row reduction over the integers, with provenance.
 
-The accumulator keeps a forward echelon: each pivot row has coefficient 1
-at its pivot column, leads there (the pivot is its minimum column), and
-contains no pivot column that existed when it was installed.  Rows are
-never modified afterwards; reducing a vector walks its columns in
-ascending order, and eliminating a pivot column only introduces larger
-columns, which keeps the sweep finite.
+The accumulator keeps a forward echelon: each pivot row leads at its pivot
+column (the pivot is its minimum column) and contains no pivot column that
+existed when it was installed.  Rows are never modified afterwards;
+reducing a vector walks its columns in ascending order, and eliminating a
+pivot column only introduces larger columns, which keeps the sweep finite.
+
+Arithmetic is fraction-free.  A pivot row is stored as a primitive integer
+dict R whose lead R[pivot] is positive; the normalised row, with 1 at the
+pivot, is R / R[pivot].  A vector being reduced is an integer dict W with a
+positive integer denominator d, standing for W/d: a rational input is
+scaled by the lcm of its denominators on entry.  Eliminating a pivot column
+with lead a from a work entry w is W <- (a/g)*W - (w/g)*R with
+d <- (a/g)*d, g = gcd(a, w); in the common case a == 1 that is W -= w*R.
+Remainders leave as exact rationals, int where integral.
 
 Provenance is stored, not composed, at insert time: each pivot keeps its
-insertion id, the inverse of its leading remainder coefficient, and the
-multipliers with which the reduction eliminated earlier pivot columns.
-Dependent insertions never enter provenance.  express_in_span composes a
-certificate on demand: it reduces the vector and back-substitutes the
-stored multipliers over the pivots it reaches, newest first, giving exact
-coefficients keyed by insertion id.
+insertion id, the inverse d/W[pivot] of its leading remainder coefficient,
+and the exact multipliers w/d with which the reduction eliminated earlier
+(normalised) pivot rows.  Dependent insertions never enter provenance.
+express_in_span composes a certificate on demand: it reduces the vector
+and back-substitutes the stored multipliers over the pivots it reaches,
+newest first, giving exact coefficients keyed by insertion id.
 
 Pivot choice is always the lowest column of the reduced remainder, so
 ranks, remainders and certificates are deterministic functions of the
-insertion sequence.  Expressing a vector that already lies in the span of
-an earlier prefix of insertions gives the same combination no matter how
-many further pivots exist: a column that pops nonzero during the sweep
-must have its pivot inside any sufficient prefix, otherwise the vector
-could not have reduced to zero there; the back-substitution then follows
-stored multipliers only to older pivots, which lie inside that prefix too.
+insertion sequence, whatever the arithmetic: the remainder is the unique
+element of v + rowspace that vanishes on every pivot column, and the
+combination over the rank-raising insertions is unique.  Expressing a
+vector that already lies in the span of an earlier prefix of insertions
+gives the same combination no matter how many further pivots exist: a
+column that pops nonzero during the sweep must have its pivot inside any
+sufficient prefix, otherwise the vector could not have reduced to zero
+there; the back-substitution then follows stored multipliers only to older
+pivots, which lie inside that prefix too.
 """
 
 import heapq
 from collections import namedtuple
+from math import gcd, lcm
 
 from .rationals import qq_div
 
@@ -38,32 +50,40 @@ witness: leading column of the nonzero remainder, else None."""
 def _axpy(target: dict, c, src: dict):
     """target -= c * src, dropping exact zeros.
 
-    The echelon's own kernel, kept apart from poly.add_terms: the +-1
-    branches skip a Fraction multiplication per entry.  A single generic
-    loop here made the alt (1^5) saturation 1.3-2.2x slower (5.2-7.0 s
-    against 9.1-11.5 s on a 2-vCPU host, Fraction arithmetic).
+    The echelon's own kernel, kept apart from poly.add_terms.  Rows and work
+    vectors hold ints, so it needs no +-1 branches: with them, interleaved
+    runs on a 2-vCPU host read 0.98 s against 0.97 s for the alt (1^5)
+    saturation (median of eight) and 11.8 s against 11.8 s for
+    `verify lemma2 --m 5` (median of four).
     """
-    if c == 1:
-        for k, v in src.items():
-            nv = target.get(k, 0) - v
-            if nv:
-                target[k] = nv
-            elif k in target:
-                del target[k]
-    elif c == -1:
-        for k, v in src.items():
-            nv = target.get(k, 0) + v
-            if nv:
-                target[k] = nv
-            elif k in target:
-                del target[k]
-    else:
-        for k, v in src.items():
-            nv = target.get(k, 0) - c * v
-            if nv:
-                target[k] = nv
-            elif k in target:
-                del target[k]
+    for k, v in src.items():
+        nv = target.get(k, 0) - c * v
+        if nv:
+            target[k] = nv
+        elif k in target:
+            del target[k]
+
+
+def _ratio(n: int, d: int):
+    """Exact n/d: an int when d divides n, else QQ."""
+    return n // d if n % d == 0 else qq_div(n, d)
+
+
+def _to_integers(vec: dict):
+    """(W, d): an integer dict and a positive int with W/d == vec.
+
+    d is the lcm of the denominators; zero entries are dropped.
+    """
+    d = lcm(*(int(v.denominator) for v in vec.values()))
+    return {k: int(v.numerator) * (d // int(v.denominator))
+            for k, v in vec.items() if v}, d
+
+
+def _to_rationals(work: dict, d: int) -> dict:
+    """The exact rational dict W/d, int where integral."""
+    if d == 1:
+        return work
+    return {k: _ratio(v, d) for k, v in work.items()}
 
 
 class EchelonAccumulator:
@@ -71,7 +91,7 @@ class EchelonAccumulator:
         if dimension < 0:
             raise ValueError("dimension must be nonnegative")
         self.dimension = dimension
-        self.rows = {}  # pivot column -> row dict
+        self.rows = {}  # pivot column -> primitive integer row, lead > 0
         # pivot column -> {earlier pivot column -> elimination multiplier}
         self.provenance = {}
         self.pivot_source = {}  # pivot column -> (insertion id, inverse)
@@ -87,30 +107,39 @@ class EchelonAccumulator:
             if not 0 <= k < self.dimension:
                 raise ValueError(f"column {k} outside dimension {self.dimension}")
 
-    def _reduce(self, vec: dict, combo: dict | None):
-        """Eliminate every pivot column from vec, recording pivot multiples.
+    def _reduce(self, work: dict, d: int, combo: dict | None) -> int:
+        """Eliminate every pivot column from work/d, recording pivot multiples.
 
-        Rows lead at their pivot, so elimination introduces only larger
-        columns; an ascending-column sweep therefore terminates.
+        work is reduced in place and the new denominator is returned.  Rows
+        lead at their pivot, so elimination introduces only larger columns;
+        an ascending-column sweep therefore terminates.
         """
-        heap = [k for k in vec if k in self.rows]
+        heap = [k for k in work if k in self.rows]
         heapq.heapify(heap)
         seen = set()
         rows = self.rows
         while heap:
             col = heapq.heappop(heap)
-            if col in seen or col not in vec:
+            if col in seen or col not in work:
                 continue
             seen.add(col)
             row = rows[col]
-            c = vec[col]
-            _axpy(vec, c, row)
-            for k in row:
-                if k in rows and k not in seen and k in vec:
-                    heapq.heappush(heap, k)
+            w = work[col]
             if combo is not None:
-                combo[col] = c
-        return vec
+                combo[col] = _ratio(w, d)
+            # W <- (a/g) W - (w/g) R, d <- (a/g) d; a unit lead needs no scaling
+            a = row[col]
+            g = gcd(a, w)
+            if a != g:
+                scale = a // g
+                for k in work:
+                    work[k] *= scale
+                d *= scale
+            _axpy(work, w // g, row)
+            for k in row:
+                if k in rows and k not in seen and k in work:
+                    heapq.heappush(heap, k)
+        return d
 
     def insert_reduce(self, vec: dict) -> bool:
         """Reduce a vector and install the remainder as a new pivot if nonzero.
@@ -120,30 +149,37 @@ class EchelonAccumulator:
         self._check_dim(vec)
         ins_id = self.n_inserted
         self.n_inserted += 1
-        work = dict(vec)
+        work, d = _to_integers(vec)
         combo = {}
-        self._reduce(work, combo)
+        d = self._reduce(work, d, combo)
         if not work:
             self.last_pivot = None
             return False
         pivot = min(work)
-        inv = qq_div(1, work[pivot])
-        self.rows[pivot] = {k: inv * v for k, v in work.items()}
+        lead = work[pivot]
+        content = gcd(*work.values())
+        if lead < 0:
+            content = -content
+        if content != 1:
+            work = {k: v // content for k, v in work.items()}
+        self.rows[pivot] = work
         self.provenance[pivot] = combo
-        self.pivot_source[pivot] = (ins_id, inv)
+        self.pivot_source[pivot] = (ins_id, _ratio(d, lead))
         self.last_pivot = pivot
         return True
 
     def residual(self, vec: dict) -> dict:
         """Remainder of vec modulo the current row space (a fresh dict)."""
         self._check_dim(vec)
-        work = dict(vec)
-        self._reduce(work, None)
-        return work
+        work, d = _to_integers(vec)
+        return _to_rationals(work, self._reduce(work, d, None))
 
     def rereduce(self, residual: dict):
         """Re-reduce an externally held residual after new pivots appeared."""
-        self._reduce(residual, None)
+        work, d = _to_integers(residual)
+        d = self._reduce(work, d, None)
+        residual.clear()
+        residual.update(_to_rationals(work, d))
 
     def express_in_span(self, vec: dict) -> SpanResult:
         """Exact coefficients of vec over the inserted vectors, or a witness.
@@ -153,9 +189,9 @@ class EchelonAccumulator:
         the witness is the leading (minimum) column of the remainder.
         """
         self._check_dim(vec)
-        work = dict(vec)
+        work, d = _to_integers(vec)
         weights = {}
-        self._reduce(work, weights)
+        self._reduce(work, d, weights)
         if work:
             return SpanResult(None, min(work))
         # vec = sum w_p row_p, and row_p = inv_p (inserted_p - sum m_pk row_k)

@@ -13,7 +13,7 @@ with an optional leading '-' on the first term and the single token '0'
 for the zero polynomial.  format/parse round-trip exactly.
 
 Coefficients are exact: plain ints until a division happens (a '/' in the
-text, a rational scale factor, an echelon pivot), QQ rationals after.
+text, a rational scale factor, an echelon certificate), QQ rationals after.
 Integer work therefore never pays for rational normalisation.
 """
 

@@ -1,16 +1,18 @@
 """Exact rational coefficients.
 
 Coefficients are plain ints until a division happens; QQ holds them after
-(echelon pivots, '/' in parsed text, rational scale factors).  gmpy2's mpq
-is used when available (roughly an order of magnitude faster than
-fractions.Fraction in the row-reduction inner loops); the stdlib Fraction
-is a drop-in fallback.  Both keep values in lowest terms with a positive
-denominator and never round, and both mix exactly with int.
+('/' in parsed text, rational scale factors, and certificate coefficients,
+multipliers and remainders of the echelon where they are not integral).
+The echelon eliminates over the integers (see linalg), so QQ is not in its
+inner loop.  gmpy2's mpq is used when installed (the optional `fast` extra);
+otherwise the stdlib fractions.Fraction is QQ.  Both keep values in lowest
+terms with a positive denominator and never round, and both mix exactly
+with int.
 """
 
 try:
     from gmpy2 import mpq as QQ
-except ImportError:  # pragma: no cover - exercised only without gmpy2
+except ImportError:
     from fractions import Fraction as QQ
 
 

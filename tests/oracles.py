@@ -114,7 +114,7 @@ class EagerProvenanceEchelon:
     def insert(self, vec):
         ins_id = self.n_inserted
         self.n_inserted += 1
-        work = {k: Fraction(v) for k, v in vec.items()}
+        work = {k: Fraction(v) for k, v in vec.items() if v}
         combo = self._reduce(work)
         if not work:
             return False
@@ -127,9 +127,15 @@ class EagerProvenanceEchelon:
         self.provenance[pivot] = prov
         return True
 
+    def remainder(self, vec):
+        """The reduced remainder of vec (zero on every pivot column)."""
+        work = {k: Fraction(v) for k, v in vec.items() if v}
+        self._reduce(work)
+        return work
+
     def express(self, vec):
         """{insertion id -> coefficient} when vec is in the span, else None."""
-        work = {k: Fraction(v) for k, v in vec.items()}
+        work = {k: Fraction(v) for k, v in vec.items() if v}
         combo = self._reduce(work)
         if work:
             return None

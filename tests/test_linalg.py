@@ -1,12 +1,14 @@
+import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import EagerProvenanceEchelon, dense_express, dense_rank
 from skewalg.linalg import EchelonAccumulator
 from skewalg.rationals import QQ
+from skewalg.variety import ComponentSpace, builtin_variety
 
 
 def test_insert_rank_examples():
@@ -137,13 +139,23 @@ def test_rank_insertion_order_invariance():
         assert len(ranks) == 1
 
 
+def _normalised(row):
+    """A stored integer row divided by its lead: 1 at the pivot."""
+    lead = row[min(row)]
+    return {k: QQ(v, lead) for k, v in row.items()}
+
+
 def test_rows_lead_at_pivot_with_unit_coefficient():
     rng = random.Random(53)
     vecs = _random_vecs(rng, 12, 20)
     acc = EchelonAccumulator(12)
     for v in vecs:
         acc.insert_reduce(v)
-    for pivot, row in acc.rows.items():
+    for pivot, stored in acc.rows.items():
+        # stored as a primitive integer row with a positive lead
+        assert all(type(v) is int for v in stored.values())
+        assert stored[pivot] > 0 and math.gcd(*stored.values()) == 1
+        row = _normalised(stored)
         assert min(row) == pivot
         assert row[pivot] == 1
         # stored provenance re-expands the row exactly
@@ -160,12 +172,29 @@ def test_rows_lead_at_pivot_with_unit_coefficient():
         assert rebuilt == row
 
 
+def test_saturated_alt_component_rows_are_integers():
+    space = ComponentSpace(builtin_variety("alt"), {1: 1, 2: 1, 3: 1, 4: 1})
+    space.saturate()
+    assert space.acc.rank > 0
+    assert all(type(v) is int for row in space.acc.rows.values() for v in row.values())
+
+
+def test_explicit_zero_entries_are_ignored():
+    acc = EchelonAccumulator(3)
+    assert acc.insert_reduce({0: 0, 1: 1}) is True
+    assert acc.rows == {1: {1: 1}}
+    assert acc.insert_reduce({0: 0}) is False
+    assert acc.rank == 1
+    assert acc.express_in_span({1: 0}) == ({}, None)
+    assert acc.residual({0: 0, 2: QQ(0)}) == {}
+
+
 @st.composite
 def _vector_sets(draw):
     """(dimension, sparse rational vectors, target); the target is either a
     combination of the vectors or arbitrary."""
     dim = draw(st.integers(1, 10))
-    coeff = st.builds(QQ, st.integers(-6, 6).filter(bool), st.integers(1, 4))
+    coeff = st.builds(QQ, st.integers(-12, 12).filter(bool), st.integers(1, 6))
     vector = st.dictionaries(st.integers(0, dim - 1), coeff, max_size=min(dim, 6))
     vecs = draw(st.lists(vector, min_size=1, max_size=12))
     if draw(st.booleans()):
@@ -184,13 +213,27 @@ def _vector_sets(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_vector_sets())
+# a lead of 2 met by odd entries scaled from 1/2 and 1/4: both the lcm entry scaling
+# and the non-unit elimination branch run
+@example((3, [{0: QQ(2), 1: QQ(1)}, {0: QQ(1, 2), 1: QQ(5), 2: QQ(1, 3)}],
+          {0: QQ(1, 4), 1: QQ(7, 4), 2: QQ(1)}))
 def test_deferred_provenance_matches_eager_oracle(case):
     dim, vecs, target = case
     acc = EchelonAccumulator(dim)
     oracle = EagerProvenanceEchelon()
-    for v in vecs:
+    half = len(vecs) // 2
+    for v in vecs[:half]:
         assert acc.insert_reduce(v) == oracle.insert(v)
-    assert acc.rows == oracle.rows
+    held = acc.residual(target)
+    assert held == oracle.remainder(target)
+    for v in vecs[half:]:
+        assert acc.insert_reduce(v) == oracle.insert(v)
+    assert {p: _normalised(r) for p, r in acc.rows.items()} == oracle.rows
+    remainder = oracle.remainder(target)
+    assert acc.residual(target) == remainder
+    acc.rereduce(held)
+    assert held == remainder
+    assert all(type(v) is int for v in held.values() if v.denominator == 1)
     coeffs, witness = acc.express_in_span(target)
     assert coeffs == oracle.express(target)
     assert (coeffs is None) == (dense_express(vecs, target, dim) is None)
