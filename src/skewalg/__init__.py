@@ -12,7 +12,8 @@ from .poly import (MultiPoly, ParseError, associator, commutator, format_poly,
                    jordan, multiply, parse_identity_file, parse_poly,
                    parse_word, substitute)
 from .rationals import QQ
-from .symmetrize import alternate, collapse, linearize, skew
+from .symmetrize import (alternate, collapse, is_skew_symmetric, linearize,
+                         skew)
 from .variety import (ComponentSpace, GenDescriptor, MembershipCertificate,
                       MembershipResult, Variety, builtin_variety,
                       clear_space_cache, component_dimension, component_space,

@@ -159,33 +159,41 @@ def cmd_verify(args, config):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Global flags go before or after the subcommand.  Their defaults are
+    # suppressed, so a subcommand not given a flag keeps the earlier value.
+    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False,
+                                     argument_default=argparse.SUPPRESS)
+    common.add_argument("--format", choices=("text", "json"),
+                        help="output format (default text)")
+    common.add_argument("--max-ambient", type=int, metavar="N",
+                        help="largest allowed ambient component dimension")
+    common.add_argument("--max-generators", type=int, metavar="N",
+                        help="largest allowed consequence-generator stream")
+    common.add_argument("--seed", type=int, metavar="N",
+                        help="seed for sampled checks")
+    common.add_argument("--cert-dir", metavar="DIR",
+                        help="directory for certificate files")
     ap = argparse.ArgumentParser(
         prog="skewalg",
         allow_abbrev=False,
+        parents=[common],
         description="Exact computations with skew-symmetric identities in "
                     "free nonassociative algebras.")
-    ap.add_argument("--format", choices=("text", "json"), default=None,
-                    help="output format (default text)")
-    ap.add_argument("--max-ambient", type=int, default=None, metavar="N",
-                    help="largest allowed ambient component dimension")
-    ap.add_argument("--max-generators", type=int, default=None, metavar="N",
-                    help="largest allowed consequence-generator stream")
-    ap.add_argument("--seed", type=int, default=None, metavar="N",
-                    help="seed for sampled checks")
-    ap.add_argument("--cert-dir", default=None, metavar="DIR",
-                    help="directory for certificate files")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fm", help="print the alternating family member of degree M")
+    p = sub.add_parser("fm", parents=[common],
+                       help="print the alternating family member of degree M")
     p.add_argument("--m", type=int, required=True)
     p.set_defaults(func=cmd_fm)
 
-    p = sub.add_parser("skew", help="skew-symmetrize a one-variable word")
+    p = sub.add_parser("skew", parents=[common],
+                       help="skew-symmetrize a one-variable word")
     p.add_argument("--word", required=True, metavar="W",
                    help="for example '((x1*x1)*x1)'")
     p.set_defaults(func=cmd_skew)
 
-    p = sub.add_parser("dim", help="dimension of a relatively free component")
+    p = sub.add_parser("dim", parents=[common],
+                       help="dimension of a relatively free component")
     p.add_argument("--variety", required=True,
                    choices=("assoc", "alt", "flex", "ncj_cor1", "free", "custom"))
     p.add_argument("--multideg", required=True, type=_parse_multidegree,
@@ -194,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="identity file for --variety custom")
     p.set_defaults(func=cmd_dim)
 
-    p = sub.add_parser("member", help="T-ideal membership with certificate")
+    p = sub.add_parser("member", parents=[common],
+                       help="T-ideal membership with certificate")
     p.add_argument("--variety", required=True,
                    choices=("assoc", "alt", "flex", "ncj_cor1", "free", "custom"))
     p.add_argument("--input", required=True, metavar="FILE",
@@ -204,12 +213,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--identities", metavar="FILE")
     p.set_defaults(func=cmd_member)
 
-    p = sub.add_parser("basis-count",
+    p = sub.add_parser("basis-count", parents=[common],
                        help="catalogue count for one-generator elements")
     p.add_argument("--degree", type=int, required=True)
     p.set_defaults(func=cmd_basis_count)
 
-    p = sub.add_parser("verify", help="run a named check or the desk suite")
+    p = sub.add_parser("verify", parents=[common],
+                       help="run a named check or the desk suite")
     p.add_argument("check", nargs="?", metavar="CHECK",
                    help=f"one of: {', '.join(sorted(CHECKS))}")
     p.add_argument("--m", type=int)
@@ -225,19 +235,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    given = vars(args)
     try:
         config = Config.from_env(
-            output_format=args.format,
-            max_ambient_dimension=args.max_ambient,
-            max_generators=args.max_generators,
-            random_seed=args.seed,
-            certificate_directory=args.cert_dir,
+            output_format=given.get("format"),
+            max_ambient_dimension=given.get("max_ambient"),
+            max_generators=given.get("max_generators"),
+            random_seed=given.get("seed"),
+            certificate_directory=given.get("cert_dir"),
         )
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    if args.format is None:
-        args.format = config.output_format
+    args.format = config.output_format
     try:
         return args.func(args, config)
     except SystemExit2 as e:

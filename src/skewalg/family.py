@@ -23,7 +23,6 @@ from itertools import permutations
 from math import comb
 
 from .config import DEFAULT_CONFIG
-from .linalg import EchelonAccumulator
 from .poly import MultiPoly, add_terms, commutator, multiply, substitute
 from .rationals import QQ
 from .symmetrize import as_one_variable, permutation_sign, skew
@@ -286,24 +285,15 @@ def solve_skew_decomposition(m: int, config=DEFAULT_CONFIG) -> SkewDecomposition
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    alt = builtin_variety("alt")
-    md = {i: 1 for i in range(1, m + 1)}
-    space = component_space(alt, md, config)
-    space.saturate()
-
+    space = component_space(builtin_variety("alt"), {i: 1 for i in range(1, m + 1)},
+                            config)
     s1 = skew(x_bracket(m).poly)
     s2 = skew(z_word(m - 2).poly) if m - 2 >= 2 else MultiPoly.zero()
-
-    r1 = space.residual_of(s1)
-    r2 = space.residual_of(s2) if s2 else {}
-    rt = space.residual_of(fm(m))
-
-    tiny = EchelonAccumulator(len(space.ambient))
-    tiny.insert_reduce(r1)                       # insertion id 0
-    z_independent = tiny.insert_reduce(r2) if r2 else False  # id 1
-    coeffs, _ = tiny.express_in_span(rt)
+    quotient = space.quotient([s1, s2])  # insertion ids 0 and 1
+    coeffs, _ = quotient.express_in_span(space.residual_of(fm(m)))
     if coeffs is None:
         return SkewDecomposition(m, "no_solution")
+    z_independent = any(ins_id == 1 for ins_id, _ in quotient.pivot_source.values())
     alpha = QQ(coeffs.get(0, 0))
     beta = QQ(coeffs.get(1, 0)) if z_independent else None
     beta_free = (m - 2 >= 2) and not z_independent

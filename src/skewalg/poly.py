@@ -20,8 +20,7 @@ Integer work therefore never pays for rational normalisation.
 import re
 
 from .rationals import QQ, qq_str
-from .words import (HOLE, ShapeTable, format_word, md_key, multidegree_of,
-                    relabel, sort_key)
+from .words import HOLE, format_word, md_key, multidegree_of, relabel, sort_key
 
 
 class ParseError(ValueError):
@@ -53,26 +52,10 @@ def _wrap(terms: dict) -> "MultiPoly":
 class MultiPoly:
     """Immutable sparse polynomial over the free magma algebra."""
 
-    __slots__ = ("terms", "_shapes")
+    __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         self.terms = {w: c for w, c in terms.items() if c} if terms else {}
-
-    def shape_view(self):
-        """Cached (shape table, [(shape id, leaves, coeff)]) decomposition.
-
-        Shared by repeated relabelling passes over the same polynomial.
-        """
-        cached = getattr(self, "_shapes", None)
-        if cached is None:
-            table = ShapeTable()
-            dec = []
-            for w, c in self.terms.items():
-                sid, lv = table.decompose(w)
-                dec.append((sid, lv, c))
-            cached = (table, dec)
-            self._shapes = cached
-        return cached
 
     # -- constructors ------------------------------------------------------
 

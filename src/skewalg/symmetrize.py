@@ -1,4 +1,5 @@
-"""Multilinearization, skew-symmetrization and variable collapse.
+"""Multilinearization, skew-symmetrization, the skew-symmetry test and
+variable collapse.
 
 The skew operator sends a one-variable element u of degree n to the signed
 sum over all n! relabellings of the multilinear representative obtained by
@@ -11,8 +12,9 @@ integral and certificates remain exact.
 """
 
 from itertools import permutations, product
+from math import factorial
 
-from .poly import MultiPoly, add_terms
+from .poly import MultiPoly, relabel_poly
 
 
 def permutation_sign(perm) -> int:
@@ -45,27 +47,28 @@ def as_one_variable(p: MultiPoly):
     return var, deg
 
 
-def _positional(w, counter):
-    """Relabel leaves by their left-to-right position 1..n."""
+def _positional(w, order):
+    """Relabel leaves by their left-to-right position 1..n.
+
+    The original leaves are appended to order, left to right.
+    """
     if isinstance(w, int):
-        counter[0] += 1
-        return counter[0]
-    return (_positional(w[0], counter), _positional(w[1], counter))
+        order.append(w)
+        return len(order)
+    return (_positional(w[0], order), _positional(w[1], order))
 
 
 def skew(u: MultiPoly) -> MultiPoly:
     """Signed symmetrization of a one-variable element over x1..xn.
 
-    Linear in u; the output is multilinear and vanishes under any collapse
-    of two variables.
+    Linear in u: the alternate of u's positional representative.  The
+    output is multilinear and vanishes under any collapse of two variables.
     """
     if u.is_zero():
         return MultiPoly.zero()
-    var, n = as_one_variable(u)
-    perms = [(permutation_sign(s), dict(enumerate(s, start=1))) for s in permutations(range(1, n + 1))]
-    bases = [(_positional(w, [0]), c) for w, c in u.terms.items()]
-    return MultiPoly.from_pairs((_relabel_raw(base, mapping), sign * c)
-                                for base, c in bases for sign, mapping in perms)
+    as_one_variable(u)
+    return alternate(MultiPoly.from_pairs((_positional(w, []), c)
+                                          for w, c in u.terms.items()))
 
 
 def _relabel_raw(w, mapping):
@@ -86,22 +89,48 @@ def alternate(p: MultiPoly) -> MultiPoly:
     vs = sorted(p.variables())
     perms = [(permutation_sign(s), dict(zip(vs, s))) for s in permutations(vs)]
     return MultiPoly.from_pairs((_relabel_raw(w, mapping), sign * c)
-                                for sign, mapping in perms for w, c in p.terms.items())
+                                for w, c in p.terms.items() for sign, mapping in perms)
+
+
+def is_skew_symmetric(p: MultiPoly) -> bool:
+    """Whether every transposition of two variables negates p, in one pass.
+
+    Each term splits into its positional shape and its leaf order.  p passes
+    when every leaf order is a permutation of one variable set, when
+    sgn(order) * coefficient is the same on every term of a shape (so each
+    coefficient is sgn(order) times that of the shape's ascending word), and
+    when each shape occurs with all n! orders.  In characteristic 0 this is
+    equivalent to p being multilinear with every collapse(p, i, j) zero; the
+    zero polynomial passes.
+    """
+    signs = {}    # leaf order -> its sign, once checked against the variables
+    shapes = {}   # positional shape -> [sgn(order) * coefficient, orders seen]
+    variables = None
+    for w, c in p.terms.items():
+        order = []
+        shape = _positional(w, order)
+        order = tuple(order)
+        sign = signs.get(order)
+        if sign is None:
+            if variables is None:
+                variables = sorted(set(order))
+            if sorted(order) != variables:
+                return False
+            sign = signs[order] = permutation_sign(order)
+        entry = shapes.get(shape)
+        if entry is None:
+            shapes[shape] = [sign * c, 1]
+        elif entry[0] != sign * c:
+            return False
+        else:
+            entry[1] += 1
+    n_orders = factorial(len(variables or ()))
+    return all(count == n_orders for _, count in shapes.values())
 
 
 def collapse(p: MultiPoly, i: int, j: int) -> MultiPoly:
-    """Substitute x_j -> x_i and combine terms.
-
-    Terms are merged on (shape, relabelled leaves) pairs and only surviving
-    terms are rebuilt as trees, so mass cancellations (the typical case for
-    skew-symmetric inputs) cost no tree construction.
-    """
-    if i == j:
-        return p
-    table, dec = p.shape_view()
-    acc = add_terms({}, (((sid, tuple(i if v == j else v for v in lv)), c)
-                         for sid, lv, c in dec))
-    return MultiPoly({table.rebuild(sid, iter(lv)): c for (sid, lv), c in acc.items()})
+    """Substitute x_j -> x_i and combine terms."""
+    return relabel_poly(p, {j: i})
 
 
 def linearize(p: MultiPoly) -> MultiPoly:

@@ -273,6 +273,18 @@ class ComponentSpace:
     def residual_of(self, p: MultiPoly) -> dict:
         return self.acc.residual(self.vec(p))
 
+    def quotient(self, polys) -> EchelonAccumulator:
+        """Echelon of the polys' residuals modulo the saturated component.
+
+        One insertion per poly, in order, so insertion id k stands for
+        polys[k] in express_in_span of a residual.
+        """
+        self.saturate()
+        acc = EchelonAccumulator(len(self.ambient))
+        for p in polys:
+            acc.insert_reduce(self.residual_of(p))
+        return acc
+
     def membership(self, p: MultiPoly):
         """(member, certificate, witness_word): streams generators lazily and
         stops as soon as the target falls into the accumulated span."""

@@ -74,47 +74,6 @@ def graft(w, images):
     return (graft(w[0], images), graft(w[1], images))
 
 
-class ShapeTable:
-    """Interns bracketing shapes so words can be handled as (shape, leaves).
-
-    Shape ids are local to a table; id entries are either "leaf" or a pair
-    of child ids.
-    """
-
-    def __init__(self):
-        self.ids = {}
-        self.defs = []
-
-    def _intern(self, key):
-        sid = self.ids.get(key)
-        if sid is None:
-            sid = len(self.defs)
-            self.ids[key] = sid
-            self.defs.append(key)
-        return sid
-
-    def decompose(self, w):
-        """(shape id, leaf tuple) of a word."""
-        out = []
-        sid = self._decomp(w, out)
-        return sid, tuple(out)
-
-    def _decomp(self, w, out):
-        if isinstance(w, int):
-            out.append(w)
-            return self._intern("leaf")
-        left = self._decomp(w[0], out)
-        right = self._decomp(w[1], out)
-        return self._intern((left, right))
-
-    def rebuild(self, sid, leaf_iter):
-        """Word with the given shape, consuming leaves left-to-right."""
-        d = self.defs[sid]
-        if d == "leaf":
-            return next(leaf_iter)
-        return (self.rebuild(d[0], leaf_iter), self.rebuild(d[1], leaf_iter))
-
-
 def md_key(md) -> tuple:
     """Canonical hashable form of a multidegree mapping: sorted (var, exp) pairs."""
     return tuple(sorted((v, e) for v, e in md.items() if e))

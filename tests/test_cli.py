@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +106,27 @@ def test_verify_json_verdict_matches_text(tmp_path, capsys):
     assert code1 == code2 == 0
     assert out1.startswith("pass")
     assert json.loads(out2)["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("after", [False, True])
+def test_global_flags_before_or_after_subcommand(tmp_path, capsys, after):
+    def call(command, flags):
+        return run(capsys, *(command + flags if after else flags + command))
+
+    certs = tmp_path / "certs"
+    code, out, _ = call(["verify", "eq1"], ["--format", "json", "--cert-dir", str(certs)])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdict"] == "pass"
+    assert [p.parent for p in map(Path, doc["certificates"])] == [certs]
+    code, out, _ = call(["verify", "cor2_assoc_probe", "--degree-bound", "2"],
+                        ["--format", "json", "--seed", "5"])
+    assert code == 0 and json.loads(out)["details"]["seed"] == 5
+    dim = ["dim", "--variety", "alt", "--multideg", "1,1,1"]
+    for flag, limit in (("--max-ambient", "max_ambient_dimension"),
+                        ("--max-generators", "max_generators")):
+        code, _, err = call(dim, [flag, "5"])
+        assert code == 3 and limit in err
 
 
 def test_resource_limit_exit_code(capsys):

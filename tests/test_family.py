@@ -11,7 +11,7 @@ from skewalg.family import (BaseDescriptor, SuperWord, associative_projection,
                             u_word, x_bracket, z_word)
 from skewalg.poly import MultiPoly, commutator, parse_poly
 from skewalg.rationals import QQ
-from skewalg.symmetrize import collapse, skew
+from skewalg.symmetrize import collapse, is_skew_symmetric, skew
 from skewalg.variety import ComponentSpace, builtin_variety, consequence_generators
 
 
@@ -45,6 +45,7 @@ def test_fm_term_counts_frozen():
 @pytest.mark.parametrize("m", range(2, 7))
 def test_fm_skew_symmetric(m):
     f = fm(m)
+    assert is_skew_symmetric(f)
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
             assert collapse(f, i, j).is_zero()
@@ -186,14 +187,17 @@ def test_standard_polynomial_small():
 
 
 def test_solve_skew_decomposition_small(config):
-    for m, expect_free in [(2, False), (3, False), (4, True)]:
+    alt = builtin_variety("alt")
+    for m, expect_free in [(2, False), (3, False), (4, True), (5, True)]:
         r = solve_skew_decomposition(m, config)
         assert r.status == "ok"
         assert r.alpha == QQ(1, 2)
         assert r.beta is None
         assert r.beta_free is expect_free
-        assert r.residual.is_zero()
-        assert r.certificate.entries == []
+        assert r.residual.is_zero() == (m < 5)
+        assert (r.certificate.entries == []) == (m < 5)
+        assert r.certificate.target == r.residual
+        assert r.certificate.recheck(alt)
 
 
 def test_alpha4_against_dense_oracle(config):

@@ -1,14 +1,17 @@
 import random
-from itertools import permutations
-from math import factorial
+from itertools import combinations, permutations
+from math import factorial, prod
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from skewalg.poly import MultiPoly, multiply, parse_poly, relabel_poly
 from skewalg.rationals import QQ
 from skewalg.symmetrize import (alternate, as_one_variable, collapse,
-                                linearize, permutation_sign, skew)
-from skewalg.words import enumerate_words
+                                is_skew_symmetric, linearize,
+                                permutation_sign, skew)
+from skewalg.words import enumerate_words, relabel
 
 
 def one_var_words(n):
@@ -56,6 +59,39 @@ def test_linearize_restriction_recovers_multiple():
         for e in md.values():
             scale *= factorial(e)
         assert back == p.scale(scale)
+
+
+_COEFFS = st.integers(-3, 3).filter(bool)
+
+
+def _combination(draw, words):
+    return MultiPoly.from_pairs(draw(st.lists(st.tuples(st.sampled_from(words), _COEFFS),
+                                              min_size=1, max_size=6)))
+
+
+@st.composite
+def _multihomogeneous(draw):
+    variables = sorted(draw(st.sets(st.integers(1, 5), min_size=1, max_size=3)))
+    md = {v: draw(st.integers(1, 3)) for v in variables}
+    if sum(md.values()) > 5:
+        md = {v: 1 for v in variables}
+    return md, _combination(draw, enumerate_words(md))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_multihomogeneous())
+def test_linearize_then_restrict_is_factorial_multiple(case):
+    md, p = case
+    if p.is_zero():
+        return
+    lin = linearize(p)
+    assert lin.is_multilinear()
+    # fresh variables come in blocks, one per original variable in sorted order
+    back, offset = {}, 0
+    for v in sorted(md):
+        back.update({k: v for k in range(offset + 1, offset + 1 + md[v])})
+        offset += md[v]
+    assert relabel_poly(lin, back) == p.scale(prod(factorial(e) for e in md.values()))
 
 
 def test_linearize_rejects_inhomogeneous():
@@ -117,7 +153,7 @@ def test_skew_leaf_assignment_independence():
             for tau in (tuple(range(n, 0, -1)), tuple(rng.sample(range(1, n + 1), n))):
                 # relabel the left-to-right representative through tau, then alternate
                 from skewalg.symmetrize import _positional
-                pos = _positional(w, [0])
+                pos = _positional(w, [])
                 mapping = {k + 1: tau[k] for k in range(n)}
                 from skewalg.words import relabel
                 v = MultiPoly.monomial(relabel(pos, mapping))
@@ -141,6 +177,44 @@ def test_alternate_idempotent_up_to_factorial():
 def test_alternate_rejects_nonmultilinear():
     with pytest.raises(ValueError):
         alternate(parse_poly("(x1*x1)"))
+
+
+@st.composite
+def _skew_candidates(draw):
+    """Multilinear polynomials, their alternates, and near misses of those."""
+    variables = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True))
+    words = enumerate_words(dict.fromkeys(variables, 1))
+    base = _combination(draw, words)
+    kind = draw(st.sampled_from(["raw", "alternate", "perturbed", "repeated_leaf",
+                                 "two_variable_sets"]))
+    if kind == "raw":
+        return base
+    p = alternate(base)
+    word = draw(st.sampled_from(words))
+    if kind == "perturbed":
+        return p + MultiPoly.monomial(word, draw(_COEFFS))
+    if kind == "repeated_leaf":
+        v = variables[0]
+        return p + MultiPoly.monomial(relabel(word, {variables[-1]: v}) if len(variables) > 1
+                                      else (v, v), draw(_COEFFS))
+    if kind == "two_variable_sets":
+        return p + alternate(relabel_poly(base, {variables[0]: 7}))
+    return p
+
+
+def _skew_by_collapse(p):
+    return p.is_zero() or (p.is_multilinear() and all(
+        collapse(p, i, j).is_zero() for i, j in combinations(sorted(p.variables()), 2)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_skew_candidates())
+@example(parse_poly("(x1*x2) + (x1*x1)"))
+@example(parse_poly("(x1*x1) + (x1*x2)"))
+@example(parse_poly("(x1*x1)"))
+@example(MultiPoly.zero())
+def test_is_skew_symmetric_matches_collapse(p):
+    assert is_skew_symmetric(p) == _skew_by_collapse(p)
 
 
 def test_collapse_examples():

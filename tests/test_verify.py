@@ -1,8 +1,10 @@
 import json
 import os
+import sys
 
 import pytest
 
+from skewalg.poly import MultiPoly
 from skewalg.variety import MembershipCertificate, builtin_variety
 from skewalg.verify import CHECKS, DESK_SUITE, Report, verify
 
@@ -68,9 +70,35 @@ def test_eq4_check(config):
 
 
 def test_eq6_check(config):
-    r = verify("eq6", {"m": 4}, config)
-    assert r.verdict == "pass"
-    assert r.details["lambda"] == "2"
+    for m in (4, 5):
+        r = verify("eq6", {"m": m}, config)
+        assert r.verdict == "pass"
+        assert r.details["lambda"] == "2"
+        assert r.details["nu"] == "0"
+
+
+def test_lemma1_fail_reports_nonvanishing_pairs(config, monkeypatch):
+    from skewalg.family import fm
+    from skewalg.symmetrize import collapse
+    from skewalg.words import relabel
+
+    f = fm(4)
+    word, c = f.items()[0]
+    one_coefficient = MultiPoly({**f.terms, word: c + 1})
+    # antisymmetric under x1 <-> x2 only, so collapse(., 1, 2) still vanishes
+    swapped = relabel(word, {1: 2, 2: 1})
+    two_terms = f + MultiPoly({word: 1, swapped: -1})
+    for broken in (one_coefficient, two_terms):
+        # the package re-exports the function verify under the module's name
+        monkeypatch.setattr(sys.modules["skewalg.verify"], "fm", lambda m: broken)
+        r = verify("lemma1", {"m": 4}, config)
+        assert r.verdict == "fail"
+        expected = [(i, j) for i in range(1, 5) for j in range(i + 1, 5)
+                    if not collapse(broken, i, j).is_zero()]
+        assert expected
+        assert r.details["nonvanishing_pairs"] == expected
+        assert r.details["terms"] == len(broken)
+    assert (1, 2) not in r.details["nonvanishing_pairs"]
 
 
 def test_desk_suite_layout():

@@ -1,8 +1,8 @@
 import pytest
 
-from skewalg.words import (HOLE, ShapeTable, degree, enumerate_words,
-                           format_word, graft, leaves, md_key, multidegree_of,
-                           relabel, replace_hole, sort_key, word_count)
+from skewalg.words import (HOLE, degree, enumerate_words, format_word, graft,
+                           leaves, md_key, multidegree_of, relabel,
+                           replace_hole, sort_key, word_count)
 
 
 def test_degree_and_leaves():
@@ -105,9 +105,3 @@ def test_enumerate_rejects_nonpositive():
         enumerate_words({1: -1, 2: 2})
     assert enumerate_words({}) == []
 
-
-def test_shape_table_roundtrip():
-    table = ShapeTable()
-    for w in enumerate_words({1: 2, 2: 1, 3: 1}):
-        sid, lv = table.decompose(w)
-        assert table.rebuild(sid, iter(lv)) == w
