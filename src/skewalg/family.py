@@ -23,31 +23,32 @@ from itertools import permutations
 from math import comb
 
 from .config import DEFAULT_CONFIG
-from .poly import MultiPoly, add_terms, commutator, multiply, substitute
+from .poly import MultiPoly, add_terms, multiply
 from .rationals import QQ
 from .symmetrize import as_one_variable, permutation_sign, skew
 from .variety import builtin_variety, component_space
-from .words import leaves
+from .words import leaves, relabel
 
 
 @lru_cache(maxsize=None)
 def fm(m: int) -> MultiPoly:
-    """The degree-m alternating polynomial of the recursion, in x1..xm."""
+    """The degree-m alternating polynomial of the recursion, in x1..xm.
+
+    [xi, xj] for x1 is two relabellings: x1 -> (xi xj) and x1 -> -(xj xi)."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if m == 1:
         return MultiPoly.variable(1)
-    prev = fm(m - 1)
+    prev = fm(m - 1).terms.items()
     acc = {}
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
             sign = 1 if (i + j) % 2 else -1  # (-1)^(i+j-1)
-            rest = [k for k in range(1, m + 1) if k != i and k != j]
-            assignment = {1: commutator(MultiPoly.variable(i), MultiPoly.variable(j))}
-            for slot, var in enumerate(rest, start=2):
-                assignment[slot] = MultiPoly.variable(var)
-            add_terms(acc, ((w, sign * c)
-                            for w, c in substitute(prev, assignment).terms.items()))
+            rest = dict(enumerate((k for k in range(1, m + 1) if k != i and k != j),
+                                  start=2))
+            for first, s in (((i, j), sign), ((j, i), -sign)):
+                mapping = {1: first, **rest}
+                add_terms(acc, ((relabel(w, mapping), s * c) for w, c in prev))
     return MultiPoly(acc)
 
 

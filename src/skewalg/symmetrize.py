@@ -15,6 +15,7 @@ from itertools import permutations, product
 from math import factorial
 
 from .poly import MultiPoly, relabel_poly
+from .words import relabel
 
 
 def permutation_sign(perm) -> int:
@@ -71,12 +72,6 @@ def skew(u: MultiPoly) -> MultiPoly:
                                           for w, c in u.terms.items()))
 
 
-def _relabel_raw(w, mapping):
-    if isinstance(w, int):
-        return mapping[w]
-    return (_relabel_raw(w[0], mapping), _relabel_raw(w[1], mapping))
-
-
 def alternate(p: MultiPoly) -> MultiPoly:
     """Sum of sgn(s) * s(p) over all permutations s of p's variables.
 
@@ -88,7 +83,7 @@ def alternate(p: MultiPoly) -> MultiPoly:
         raise ValueError("alternate requires a multilinear polynomial")
     vs = sorted(p.variables())
     perms = [(permutation_sign(s), dict(zip(vs, s))) for s in permutations(vs)]
-    return MultiPoly.from_pairs((_relabel_raw(w, mapping), sign * c)
+    return MultiPoly.from_pairs((relabel(w, mapping), sign * c)
                                 for w, c in p.terms.items() for sign, mapping in perms)
 
 

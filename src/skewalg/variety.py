@@ -18,8 +18,8 @@ from .poly import (MultiPoly, associator, commutator, format_poly, multiply,
                    parse_poly, parse_word)
 from .rationals import QQ, qq_str
 from .symmetrize import linearize
-from .words import (HOLE, enumerate_words, format_word, graft, md_key,
-                    replace_hole, word_count)
+from .words import (HOLE, enumerate_words, format_word, md_key, multidegree_of,
+                    relabel, word_count)
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,9 @@ class Variety:
         for f in self.identities:
             if not f.is_multilinear():
                 raise ValueError("variety identities must be multilinear")
+            (md,) = f.multidegrees()
+            if [v for v, _ in md] != list(range(1, len(md) + 1)):
+                raise ValueError(f"identity {format_poly(f)} must use exactly x1..xk")
 
     def fingerprint(self):
         return (self.name, tuple(format_poly(f) for f in self.identities))
@@ -114,7 +117,7 @@ def expand_descriptor(variety: Variety, desc: GenDescriptor) -> MultiPoly:
     """
     f = variety.identities[desc.identity_index]
     images = {i + 1: w for i, w in enumerate(desc.substitution)}
-    return MultiPoly.from_pairs((replace_hole(desc.context, graft(w, images)), c)
+    return MultiPoly.from_pairs((relabel(desc.context, {HOLE: relabel(w, images)}), c)
                                 for w, c in f.terms.items())
 
 
@@ -193,11 +196,18 @@ class MembershipCertificate:
         return MembershipCertificate(parse_poly(doc["target"]), doc["variety"], md, entries)
 
     def recheck(self, variety: Variety) -> bool:
-        """Re-expand without the solver and compare exactly."""
-        total = MultiPoly.zero()
-        for desc, c in self.entries:
-            total = total + expand_descriptor(variety, desc).scale(c)
-        return total == self.target
+        """Re-expand without the solver and compare exactly.  Certificates may
+        come from outside, so each descriptor must name an identity, give one
+        word per identity variable and have a context with exactly one hole."""
+        arity = [len(f.variables()) for f in variety.identities]
+        for desc, _ in self.entries:
+            if not (0 <= desc.identity_index < len(arity)
+                    and len(desc.substitution) == arity[desc.identity_index]
+                    and multidegree_of(desc.context).get(HOLE) == 1):
+                return False
+        return MultiPoly.from_pairs(
+            (w, c * cw) for desc, c in self.entries
+            for w, cw in expand_descriptor(variety, desc).terms.items()) == self.target
 
 
 class ComponentSpace:
@@ -231,9 +241,6 @@ class ComponentSpace:
                     f"{self.multidegree}")
             out[i] = c
         return out
-
-    def word_at(self, col: int):
-        return self.ambient[col]
 
     def _insert_next(self) -> bool:
         """Insert one generator; returns False when the stream is exhausted."""

@@ -20,7 +20,8 @@ from .family import (associative_projection, base_element, basea_count,
                      fm, solve_skew_decomposition, standard_polynomial,
                      x_bracket, BaseDescriptor)
 from .linalg import EchelonAccumulator
-from .poly import MultiPoly, add_terms, commutator, jordan, multiply, substitute
+from .poly import (MultiPoly, add_terms, commutator, jordan, multiply, relabel_poly,
+                   substitute)
 from .rationals import qq_str
 from .symmetrize import collapse, is_skew_symmetric, skew
 from .variety import (builtin_variety, component_dimension, component_space,
@@ -126,7 +127,7 @@ def check_fm_nonzero(params, config):
         "ideal_rank": space.acc.rank,
     }
     if residual:
-        details["witness"] = format_word(space.word_at(min(residual)))
+        details["witness"] = format_word(space.ambient[min(residual)])
         return "pass", details, []
     details["error"] = "fm(m) fell into the alternative T-ideal"
     return "fail", details, []
@@ -274,14 +275,14 @@ def check_eq6(params, config):
         raise ValueError("eq6 needs m >= 3")
     space = component_space(builtin_variety("alt"), {i: 1 for i in range(1, m + 1)},
                             config)
-    bracket_sum = MultiPoly.zero()
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            rest = [k for k in range(1, m + 1) if k != i and k != j]
-            inner = substitute(fm(m - 2),
-                               {slot: _variable(v) for slot, v in enumerate(rest, start=1)})
-            term = commutator(inner, commutator(_variable(i), _variable(j)))
-            bracket_sum = bracket_sum + (term if (i + j) % 2 == 0 else term.scale(-1))
+    terms = []  # (sign, term) per omitted pair i < j
+    for i, j in combinations(range(1, m + 1), 2):
+        rest = (k for k in range(1, m + 1) if k != i and k != j)
+        inner = relabel_poly(fm(m - 2), dict(enumerate(rest, start=1)))
+        terms.append((1 if (i + j) % 2 == 0 else -1,
+                      commutator(inner, commutator(_variable(i), _variable(j)))))
+    bracket_sum = MultiPoly.from_pairs((w, sign * c) for sign, term in terms
+                                       for w, c in term.terms.items())
 
     quotient = space.quotient([fm(m), bracket_sum])
     coeffs, _ = quotient.express_in_span(space.residual_of(skew(x_bracket(m).poly)))
@@ -336,10 +337,10 @@ def check_engine_soundness(params, config):
     for _ in range(n_certs):
         vname, md = layouts[rng.randrange(len(layouts))]
         gens = pools[(vname, tuple(sorted(md.items())))]
-        target = MultiPoly.zero()
-        for _ in range(rng.randint(1, 4)):
-            coeff = rng.randint(-3, 3)
-            target = target + gens[rng.randrange(len(gens))].scale(coeff)
+        picks = [(rng.randint(-3, 3), gens[rng.randrange(len(gens))])
+                 for _ in range(rng.randint(1, 4))]
+        target = MultiPoly.from_pairs((w, coeff * c) for coeff, g in picks
+                                      for w, c in g.terms.items())
         result = is_member(target, builtin_variety(vname), config)
         if not result.member:
             details["error"] = f"generator combination not recognized in {vname}"

@@ -16,8 +16,6 @@ from math import comb, factorial, prod
 
 HOLE = 0
 
-Word = int | tuple  # structural: tuple entries are Words again
-
 
 def degree(w) -> int:
     """Number of leaves."""
@@ -54,24 +52,11 @@ def sort_key(w):
 
 
 def relabel(w, mapping):
-    """Rebuild w with each leaf v replaced by mapping.get(v, v)."""
+    """Rebuild w with each leaf v replaced by mapping.get(v, v); an image may
+    be a word (a monomial for a variable, a word for the hole) and is kept."""
     if isinstance(w, int):
         return mapping.get(w, w)
     return (relabel(w[0], mapping), relabel(w[1], mapping))
-
-
-def replace_hole(context, w):
-    """Substitute w for the unique hole leaf of context."""
-    if isinstance(context, int):
-        return w if context == HOLE else context
-    return (replace_hole(context[0], w), replace_hole(context[1], w))
-
-
-def graft(w, images):
-    """Replace each leaf v of w by the word images[v]."""
-    if isinstance(w, int):
-        return images[w]
-    return (graft(w[0], images), graft(w[1], images))
 
 
 def md_key(md) -> tuple:

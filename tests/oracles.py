@@ -1,13 +1,17 @@
-"""Independent linear algebra over Fractions.
+"""Independent oracles: linear algebra over Fractions and the f_m recursion.
 
 Deliberately naive and separate from skewalg.linalg: plain dense Gaussian
 elimination on lists of Fractions, used to cross-check ranks and span
 coefficients produced by the sparse accumulator, and a sparse echelon that
 composes provenance eagerly on every insert, used to check certificates
-entry for entry.
+entry for entry.  fm_by_substitution builds f_m with polynomial
+substitution, separate from skewalg.family's relabelling.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+
+from skewalg.poly import MultiPoly, add_terms, commutator, substitute
 
 
 def dense_matrix(sparse_rows, dim):
@@ -143,3 +147,24 @@ class EagerProvenanceEchelon:
         for col, c in combo.items():
             _sub_scaled(coeffs, -c, self.provenance[col])
         return coeffs
+
+
+@lru_cache(maxsize=None)
+def fm_by_substitution(m: int) -> MultiPoly:
+    """f_m with [xi, xj] substituted for x1 of f_{m-1}, pair by pair."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if m == 1:
+        return MultiPoly.variable(1)
+    prev = fm_by_substitution(m - 1)
+    acc = {}
+    for i in range(1, m + 1):
+        for j in range(i + 1, m + 1):
+            sign = 1 if (i + j) % 2 else -1  # (-1)^(i+j-1)
+            rest = [k for k in range(1, m + 1) if k != i and k != j]
+            assignment = {1: commutator(MultiPoly.variable(i), MultiPoly.variable(j))}
+            for slot, var in enumerate(rest, start=2):
+                assignment[slot] = MultiPoly.variable(var)
+            add_terms(acc, ((w, sign * c)
+                            for w, c in substitute(prev, assignment).terms.items()))
+    return MultiPoly(acc)

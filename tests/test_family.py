@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import dense_express
+from oracles import dense_express, fm_by_substitution
 from skewalg.family import (BaseDescriptor, SuperWord, associative_projection,
                             base_descriptors, base_element, basea_count, fm,
                             n_bound, odd_generator, solve_skew_decomposition,
@@ -35,6 +35,11 @@ def test_fm_multilinear_integer(m):
     assert f.variables() == set(range(1, m + 1))
     for c in f.terms.values():
         assert QQ(c).denominator == 1
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_fm_matches_substitution_oracle(m):
+    assert fm(m) == fm_by_substitution(m)
 
 
 def test_fm_term_counts_frozen():

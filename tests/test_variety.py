@@ -8,11 +8,11 @@ from skewalg.config import Config, ResourceLimitError
 from skewalg.poly import (MultiPoly, commutator, jordan, multiply, parse_poly,
                           substitute)
 from skewalg.symmetrize import linearize
-from skewalg.variety import (ComponentSpace, MembershipCertificate, Variety,
-                             builtin_variety, component_dimension,
+from skewalg.variety import (ComponentSpace, GenDescriptor, MembershipCertificate,
+                             Variety, builtin_variety, component_dimension,
                              component_space, consequence_generators,
                              expand_descriptor, is_member)
-from skewalg.words import multidegree_of
+from skewalg.words import HOLE, multidegree_of
 
 ALT = builtin_variety("alt")
 FLEX = builtin_variety("flex")
@@ -53,6 +53,12 @@ def test_custom_variety():
 def test_variety_rejects_nonmultilinear_identity():
     with pytest.raises(ValueError):
         Variety("bad", (parse_poly("(x1*x1)"),))
+
+
+@pytest.mark.parametrize("text", ["(x2*x3) - (x3*x2)", "(x1*x3) - (x3*x1)", "x2"])
+def test_variety_rejects_identity_not_in_x1_to_xk(text):
+    with pytest.raises(ValueError):
+        Variety("bad", (parse_poly(text),))
 
 
 def test_generator_counts():
@@ -143,6 +149,34 @@ def test_certificate_json_roundtrip(tmp_path):
     loaded = MembershipCertificate.from_json(json.loads(path.read_text()))
     assert loaded.target == cert.target
     assert loaded.recheck(FLEX)
+
+
+@pytest.mark.parametrize("desc", [
+    GenDescriptor(0, (1, 2), HOLE),              # x3 left without a word
+    GenDescriptor(0, (1, 2, 3, 4), HOLE),        # a word for no variable
+    GenDescriptor(0, (1, 2, 3), (HOLE, HOLE)),   # two holes
+    GenDescriptor(0, (1, 2, 3), (1, 2)),         # no hole
+    GenDescriptor(1, (1, 2, 3), HOLE),           # no such identity
+])
+def test_recheck_rejects_malformed_descriptor(desc):
+    good = GenDescriptor(0, (1, 2, 3), HOLE)
+    f = FLEX.identities[0]
+    assert MembershipCertificate(f, "flex", md(1, 1, 1), [(good, 1)]).recheck(FLEX)
+    # each malformed expansion (where one exists) equals its target, so only
+    # the descriptor check can reject it
+    target = expand_descriptor(FLEX, desc) if desc.identity_index == 0 else f
+    cert = MembershipCertificate(target, "flex", md(1, 1, 1), [(desc, 1)])
+    assert not cert.recheck(FLEX)
+
+
+def test_recheck_rejects_short_substitution_from_json():
+    f = FLEX.identities[0]
+    cert = MembershipCertificate(f, "flex", md(1, 1, 1),
+                                 [(GenDescriptor(0, (1, 2, 3), HOLE), 1)])
+    doc = cert.to_json(FLEX)
+    assert MembershipCertificate.from_json(doc).recheck(FLEX)
+    del doc["generators"][0]["substitution"]["x3"]  # x3 would stay x3
+    assert not MembershipCertificate.from_json(doc).recheck(FLEX)
 
 
 def test_membership_failure_has_witness():

@@ -1,8 +1,7 @@
 import pytest
 
-from skewalg.words import (HOLE, degree, enumerate_words, format_word, graft,
-                           leaves, md_key, multidegree_of, relabel,
-                           replace_hole, sort_key, word_count)
+from skewalg.words import (HOLE, degree, enumerate_words, format_word, leaves,
+                           md_key, multidegree_of, relabel, sort_key, word_count)
 
 
 def test_degree_and_leaves():
@@ -87,13 +86,15 @@ def test_canonical_order_is_strict_and_stable():
     assert ws == enumerate_words({2: 1, 1: 2})
 
 
-def test_relabel_graft_replace_hole():
+def test_relabel_word_images_partial_map_and_hole():
     w = ((1, 2), 1)
-    assert relabel(w, {1: 3}) == ((3, 2), 3)
+    assert relabel(w, {1: 3}) == ((3, 2), 3)  # partial map: x2 stays
     assert relabel(w, {}) == w
-    assert graft(w, {1: (5, 5), 2: 4}) == (((5, 5), 4), (5, 5))
+    assert relabel(w, {1: (5, 5), 2: 4}) == (((5, 5), 4), (5, 5))  # word images
+    assert relabel(w, {1: (2, 1), 2: 1}) == (((2, 1), 1), (2, 1))  # not relabelled again
     ctx = ((1, HOLE), 2)
-    assert replace_hole(ctx, (3, 3)) == ((1, (3, 3)), 2)
+    assert relabel(ctx, {HOLE: (3, 3)}) == ((1, (3, 3)), 2)
+    assert relabel(HOLE, {HOLE: w}) == w
 
 
 def test_md_key_normalization():
