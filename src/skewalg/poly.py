@@ -17,7 +17,9 @@ text, a rational scale factor, an echelon certificate), QQ rationals after.
 Integer work therefore never pays for rational normalisation.
 """
 
+import gc
 import re
+from contextlib import contextmanager
 
 from .rationals import QQ, qq_str
 from .words import HOLE, format_word, md_key, multidegree_of, relabel, sort_key
@@ -27,18 +29,41 @@ class ParseError(ValueError):
     pass
 
 
+@contextmanager
+def gc_paused():
+    """Hold off Python's cyclic garbage collector for the block.
+
+    Restores the collector only if it was on before, so nesting is safe and
+    a caller that turned it off keeps it off.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
 def add_terms(acc: dict, pairs) -> dict:
     """Add (key, coefficient) pairs into acc in place, dropping exact zeros.
 
-    Every signed sum in the package goes through here; returns acc.
+    Every signed sum in the package goes through here; returns acc.  The
+    loop runs with the cyclic collector paused: words are nested tuples of
+    ints and coefficients are numbers, so term data makes no reference
+    cycles and pausing frees nothing late, while a collection during the
+    loop would walk every tuple built so far, again and again as the sum
+    grows.
     """
     get = acc.get
-    for k, c in pairs:
-        nc = get(k, 0) + c
-        if nc:
-            acc[k] = nc
-        else:
-            acc.pop(k, None)
+    with gc_paused():
+        for k, c in pairs:
+            nc = get(k, 0) + c
+            if nc:
+                acc[k] = nc
+            else:
+                acc.pop(k, None)
     return acc
 
 

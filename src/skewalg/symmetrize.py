@@ -14,8 +14,7 @@ integral and certificates remain exact.
 from itertools import permutations, product
 from math import factorial
 
-from .poly import MultiPoly, relabel_poly
-from .words import relabel
+from .poly import MultiPoly, _wrap, add_terms, gc_paused, relabel_poly
 
 
 def permutation_sign(perm) -> int:
@@ -76,15 +75,44 @@ def alternate(p: MultiPoly) -> MultiPoly:
     """Sum of sgn(s) * s(p) over all permutations s of p's variables.
 
     Requires p multilinear; alternate(alternate(p)) = n! * alternate(p).
+    Computed once per positional shape, not once per term: writing each
+    term as fill(shape, order), with order its leaves left to right,
+
+        alternate(p) = sum over shapes, over permutations t of the variables,
+                       of sgn(t) * C_shape * fill(shape, t),
+        C_shape = sum of sgn(order) * c over the terms of that shape.
+
+    A word determines its shape and its leaf order, so distinct (shape, t)
+    pairs give distinct words and the output needs no accumulation.
     """
     if p.is_zero():
         return MultiPoly.zero()
     if not p.is_multilinear():
         raise ValueError("alternate requires a multilinear polynomial")
-    vs = sorted(p.variables())
-    perms = [(permutation_sign(s), dict(zip(vs, s))) for s in permutations(vs)]
-    return MultiPoly.from_pairs((relabel(w, mapping), sign * c)
-                                for w, c in p.terms.items() for sign, mapping in perms)
+
+    def signed_shapes():
+        for w, c in p.terms.items():
+            order = []
+            shape = _positional(w, order)
+            yield shape, permutation_sign(order) * c
+    shapes = add_terms({}, signed_shapes())
+    perms = [(permutation_sign(t), t) for t in permutations(sorted(p.variables()))]
+    builders = [(_builder(shape), c) for shape, c in shapes.items()]
+    with gc_paused():
+        return _wrap({build(t): sign * c for build, c in builders for sign, t in perms})
+
+
+def _builder(shape):
+    """A function t -> fill(shape, t), leaf at position k taking t[k-1].
+
+    The source is made only from the integer positions that _positional
+    assigned, never from input text.
+    """
+    def source(s):
+        if isinstance(s, int):
+            return f"t[{s - 1}]"
+        return f"({source(s[0])}, {source(s[1])})"
+    return eval(f"lambda t: {source(shape)}")
 
 
 def is_skew_symmetric(p: MultiPoly) -> bool:

@@ -9,6 +9,7 @@ accumulator, stopping early when a membership target is reached or the
 ambient space saturates.
 """
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import product
 
@@ -318,19 +319,24 @@ class ComponentSpace:
                                      entries), None
 
 
-_SPACE_CACHE = {}
+_SPACE_CACHE = OrderedDict()  # key -> ComponentSpace, least recently used first
+_SPACE_CACHE_SIZE = 32  # verify --all-desk uses 16 components, a bench session at most 8
 
 
 def component_space(variety: Variety, multidegree: dict,
                     config=DEFAULT_CONFIG) -> ComponentSpace:
     """Session cache: membership, dimension and decomposition checks at the
-    same component share one echelon."""
+    same component share one echelon.  It keeps the _SPACE_CACHE_SIZE most
+    recently used components."""
     key = (variety.fingerprint(), md_key(multidegree),
            config.max_ambient_dimension, config.max_generators)
     space = _SPACE_CACHE.get(key)
     if space is None:
-        space = ComponentSpace(variety, multidegree, config)
-        _SPACE_CACHE[key] = space
+        space = _SPACE_CACHE[key] = ComponentSpace(variety, multidegree, config)
+        if len(_SPACE_CACHE) > _SPACE_CACHE_SIZE:
+            _SPACE_CACHE.popitem(last=False)
+    else:
+        _SPACE_CACHE.move_to_end(key)
     return space
 
 

@@ -5,13 +5,17 @@ elimination on lists of Fractions, used to cross-check ranks and span
 coefficients produced by the sparse accumulator, and a sparse echelon that
 composes provenance eagerly on every insert, used to check certificates
 entry for entry.  fm_by_substitution builds f_m with polynomial
-substitution, separate from skewalg.family's relabelling.
+substitution, separate from skewalg.family's relabelling, and
+alternate_by_relabel alternates term by term, separate from
+skewalg.symmetrize's per-shape alternation.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 
 from skewalg.poly import MultiPoly, add_terms, commutator, substitute
+from skewalg.words import relabel
 
 
 def dense_matrix(sparse_rows, dim):
@@ -168,3 +172,22 @@ def fm_by_substitution(m: int) -> MultiPoly:
             add_terms(acc, ((w, sign * c)
                             for w, c in substitute(prev, assignment).terms.items()))
     return MultiPoly(acc)
+
+
+def _sign(perm) -> int:
+    """Parity of a sequence of distinct values, by counting inversions."""
+    inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+    return -1 if inversions % 2 else 1
+
+
+def alternate_by_relabel(p: MultiPoly) -> MultiPoly:
+    """Sum of sgn(s) * s(p) over all permutations s of p's variables,
+    relabelling every term under every permutation."""
+    if p.is_zero():
+        return MultiPoly.zero()
+    if not p.is_multilinear():
+        raise ValueError("alternate requires a multilinear polynomial")
+    vs = sorted(p.variables())
+    perms = [(_sign(s), dict(zip(vs, s))) for s in permutations(vs)]
+    return MultiPoly.from_pairs((relabel(w, mapping), sign * c)
+                                for w, c in p.terms.items() for sign, mapping in perms)

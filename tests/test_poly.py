@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -202,3 +203,50 @@ def test_integer_work_keeps_int_coefficients():
         "2*((x1*x2)*x3) - 2*((x1*x3)*x2) - 2*((x2*x1)*x3) + 2*((x2*x3)*x1)"
         " + 2*((x3*x1)*x2) - 2*((x3*x2)*x1) - 2*(x1*(x2*x3)) + 2*(x1*(x3*x2))"
         " + 2*(x2*(x1*x3)) - 2*(x2*(x3*x1)) - 2*(x3*(x1*x2)) + 2*(x3*(x2*x1))")
+
+
+@pytest.fixture
+def gc_state():
+    """Yields a setter for the collector's state and restores it afterwards."""
+    was = gc.isenabled()
+
+    def set_enabled(on):
+        if on:
+            gc.enable()
+        else:
+            gc.disable()
+    yield set_enabled
+    set_enabled(was)
+
+
+@pytest.mark.parametrize("on", [True, False])
+def test_term_building_restores_collector_state(gc_state, on):
+    gc_state(on)
+    add_terms({}, [(1, 1), (1, -1)])
+    assert gc.isenabled() is on
+    MultiPoly.from_pairs([((1, 2), 3)])
+    assert gc.isenabled() is on
+    skew(x_bracket(4).poly)
+    assert gc.isenabled() is on
+
+
+def test_collector_restored_when_parse_fails_mid_sum(gc_state):
+    gc_state(True)
+    seen = []
+
+    def pairs():
+        seen.append(gc.isenabled())
+        yield from ()
+    add_terms({}, pairs())
+    assert seen == [False]  # the pairs are drawn while the collector is paused
+    with pytest.raises(ParseError):
+        parse_poly("x1 +")  # raised inside the parser's generator of terms
+    assert gc.isenabled()
+
+
+def test_skew_runs_no_full_collection(gc_state):
+    gc_state(True)
+    gc.collect()
+    before = gc.get_stats()[2]["collections"]
+    skew(x_bracket(7).poly)
+    assert gc.get_stats()[2]["collections"] == before

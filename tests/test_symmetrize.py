@@ -1,11 +1,13 @@
 import random
-from itertools import combinations, permutations
+from itertools import combinations, count, permutations
 from math import factorial, prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import alternate_by_relabel
 
+from skewalg.family import x_bracket, z_word
 from skewalg.poly import MultiPoly, multiply, parse_poly, relabel_poly
 from skewalg.rationals import QQ
 from skewalg.symmetrize import (alternate, as_one_variable, collapse,
@@ -177,6 +179,56 @@ def test_alternate_idempotent_up_to_factorial():
 def test_alternate_rejects_nonmultilinear():
     with pytest.raises(ValueError):
         alternate(parse_poly("(x1*x1)"))
+
+
+def _by_position(w):
+    """w with its leaves renamed 1..n left to right."""
+    position = count(1)
+
+    def walk(v):
+        return next(position) if isinstance(v, int) else (walk(v[0]), walk(v[1]))
+    return walk(w)
+
+
+@st.composite
+def _multilinear_by_shape(draw):
+    """Multilinear polynomials with several leaf orders per shape; some
+    shapes get one more term that cancels their alternated coefficient."""
+    variables = draw(st.lists(st.integers(1, 7), min_size=1, max_size=5, unique=True))
+    n = len(variables)
+    words = enumerate_words(dict.fromkeys(range(1, n + 1), 1))
+    shapes = sorted({_by_position(w) for w in words}, key=repr)
+    orders = list(permutations(variables))
+    pairs = []
+    for shape in draw(st.lists(st.sampled_from(shapes), min_size=1, max_size=4, unique=True)):
+        coefficient = 0  # C_shape: sum of sgn(order) * c over the shape's terms
+        for order in draw(st.lists(st.sampled_from(orders), min_size=1, max_size=4)):
+            c = draw(_COEFFS)
+            pairs.append((relabel(shape, dict(zip(range(1, n + 1), order))), c))
+            coefficient += permutation_sign(order) * c
+        if coefficient and draw(st.booleans()):
+            order = draw(st.sampled_from(orders))
+            pairs.append((relabel(shape, dict(zip(range(1, n + 1), order))),
+                          -permutation_sign(order) * coefficient))
+    return MultiPoly.from_pairs(pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_multilinear_by_shape())
+@example(parse_poly("(x1*x2) + (x2*x1)"))
+@example(parse_poly("x5"))
+def test_alternate_matches_relabel_oracle(p):
+    a = alternate(p)
+    assert a == alternate_by_relabel(p)
+    assert alternate(a) == a.scale(factorial(len(p.variables())))
+
+
+@pytest.mark.parametrize("build, k", [*((x_bracket, k) for k in range(1, 7)),
+                                     *((z_word, k) for k in range(2, 6))])
+def test_skew_of_brackets_matches_relabel_oracle(build, k):
+    u = build(k).poly
+    representative = MultiPoly.from_pairs((_by_position(w), c) for w, c in u.terms.items())
+    assert skew(u) == alternate_by_relabel(representative)
 
 
 @st.composite

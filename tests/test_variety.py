@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -8,6 +9,7 @@ from skewalg.config import Config, ResourceLimitError
 from skewalg.poly import (MultiPoly, commutator, jordan, multiply, parse_poly,
                           substitute)
 from skewalg.symmetrize import linearize
+from skewalg import variety
 from skewalg.variety import (ComponentSpace, GenDescriptor, MembershipCertificate,
                              Variety, builtin_variety, component_dimension,
                              component_space, consequence_generators,
@@ -256,6 +258,19 @@ def test_component_space_cache_and_membership_reuse(config):
     s1 = component_space(FLEX, md(2, 1), config)
     s2 = component_space(FLEX, md(2, 1), config)
     assert s1 is s2
+
+
+def test_component_space_cache_evicts_least_recently_used(config, monkeypatch):
+    monkeypatch.setattr(variety, "_SPACE_CACHE", type(variety._SPACE_CACHE)())
+    cap = variety._SPACE_CACHE_SIZE
+    # max_generators is part of the key, so each value is its own entry
+    configs = [replace(config, max_generators=1000 + i) for i in range(cap + 1)]
+    spaces = [component_space(FLEX, md(1, 1), c) for c in configs[:cap]]
+    assert component_space(FLEX, md(1, 1), configs[0]) is spaces[0]  # a hit refreshes
+    component_space(FLEX, md(1, 1), configs[cap])
+    assert len(variety._SPACE_CACHE) == cap
+    assert component_space(FLEX, md(1, 1), configs[0]) is spaces[0]
+    assert component_space(FLEX, md(1, 1), configs[1]) is not spaces[1]  # was evicted
 
 
 def test_certificates_are_canonical_under_extra_rows():
