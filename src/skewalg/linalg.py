@@ -13,12 +13,16 @@ positive integer denominator d, standing for W/d: a rational input is
 scaled by the lcm of its denominators on entry.  Eliminating a pivot column
 with lead a from a work entry w is W <- (a/g)*W - (w/g)*R with
 d <- (a/g)*d, g = gcd(a, w); in the common case a == 1 that is W -= w*R.
-Remainders leave as exact rationals, int where integral.
+One pass over R does the subtraction and queues each pivot column that
+enters W, so the sweep needs no second look at the row.  Remainders leave
+as exact rationals, int where integral.
 
 Provenance is stored, not composed, at insert time: each pivot keeps its
 insertion id, the inverse d/W[pivot] of its leading remainder coefficient,
 and the exact multipliers w/d with which the reduction eliminated earlier
-(normalised) pivot rows.  Dependent insertions never enter provenance.
+(normalised) pivot rows.  The sweep records each multiplier as the raw
+integers (w, d); they become rationals only when the insertion raises the
+rank, so dependent insertions never build one and never enter provenance.
 express_in_span composes a certificate on demand: it reduces the vector
 and back-substitutes the stored multipliers over the pivots it reaches,
 newest first, giving exact coefficients keyed by insertion id.
@@ -45,23 +49,6 @@ from .rationals import qq_div
 SpanResult = namedtuple("SpanResult", "coefficients witness")
 """coefficients: {insertion id -> coefficient} when in span, else None;
 witness: leading column of the nonzero remainder, else None."""
-
-
-def _axpy(target: dict, c, src: dict):
-    """target -= c * src, dropping exact zeros.
-
-    The echelon's own kernel, kept apart from poly.add_terms.  Rows and work
-    vectors hold ints, so it needs no +-1 branches: with them, interleaved
-    runs on a 2-vCPU host read 0.98 s against 0.97 s for the alt (1^5)
-    saturation (median of eight) and 11.8 s against 11.8 s for
-    `verify lemma2 --m 5` (median of four).
-    """
-    for k, v in src.items():
-        nv = target.get(k, 0) - c * v
-        if nv:
-            target[k] = nv
-        elif k in target:
-            del target[k]
 
 
 def _ratio(n: int, d: int):
@@ -107,26 +94,30 @@ class EchelonAccumulator:
             if not 0 <= k < self.dimension:
                 raise ValueError(f"column {k} outside dimension {self.dimension}")
 
-    def _reduce(self, work: dict, d: int, combo: dict | None) -> int:
+    def _reduce(self, work: dict, d: int, combo: list | None) -> int:
         """Eliminate every pivot column from work/d, recording pivot multiples.
 
-        work is reduced in place and the new denominator is returned.  Rows
-        lead at their pivot, so elimination introduces only larger columns;
-        an ascending-column sweep therefore terminates.
+        work is reduced in place and the new denominator is returned; combo,
+        when given, receives one raw (column, w, d) per elimination, the
+        multiplier w/d left for the caller to form.  Rows lead at their
+        pivot, so elimination introduces only larger columns and the columns
+        pop in ascending order.  One pass over the row updates work and
+        pushes each pivot column that newly enters it; a column may then sit
+        on the heap twice, or have cancelled since its push, and an entry
+        whose column is no longer in work is stale.
         """
-        heap = [k for k in work if k in self.rows]
-        heapq.heapify(heap)
-        seen = set()
         rows = self.rows
+        heap = [k for k in work if k in rows]
+        heapq.heapify(heap)
+        push, pop, get = heapq.heappush, heapq.heappop, work.get
         while heap:
-            col = heapq.heappop(heap)
-            if col in seen or col not in work:
+            col = pop(heap)
+            w = get(col)
+            if w is None:
                 continue
-            seen.add(col)
-            row = rows[col]
-            w = work[col]
             if combo is not None:
-                combo[col] = _ratio(w, d)
+                combo.append((col, w, d))
+            row = rows[col]
             # W <- (a/g) W - (w/g) R, d <- (a/g) d; a unit lead needs no scaling
             a = row[col]
             g = gcd(a, w)
@@ -135,10 +126,19 @@ class EchelonAccumulator:
                 for k in work:
                     work[k] *= scale
                 d *= scale
-            _axpy(work, w // g, row)
-            for k in row:
-                if k in rows and k not in seen and k in work:
-                    heapq.heappush(heap, k)
+            c = w // g
+            for k, v in row.items():
+                old = get(k)
+                if old is None:
+                    work[k] = -c * v
+                    if k in rows:
+                        push(heap, k)
+                else:
+                    nv = old - c * v
+                    if nv:
+                        work[k] = nv
+                    else:
+                        del work[k]
         return d
 
     def insert_reduce(self, vec: dict) -> bool:
@@ -150,7 +150,7 @@ class EchelonAccumulator:
         ins_id = self.n_inserted
         self.n_inserted += 1
         work, d = _to_integers(vec)
-        combo = {}
+        combo = []
         d = self._reduce(work, d, combo)
         if not work:
             self.last_pivot = None
@@ -163,7 +163,7 @@ class EchelonAccumulator:
         if content != 1:
             work = {k: v // content for k, v in work.items()}
         self.rows[pivot] = work
-        self.provenance[pivot] = combo
+        self.provenance[pivot] = {col: _ratio(w, dw) for col, w, dw in combo}
         self.pivot_source[pivot] = (ins_id, _ratio(d, lead))
         self.last_pivot = pivot
         return True
@@ -190,10 +190,11 @@ class EchelonAccumulator:
         """
         self._check_dim(vec)
         work, d = _to_integers(vec)
-        weights = {}
-        self._reduce(work, d, weights)
+        combo = []
+        self._reduce(work, d, combo)
         if work:
             return SpanResult(None, min(work))
+        weights = {col: _ratio(w, dw) for col, w, dw in combo}
         # vec = sum w_p row_p, and row_p = inv_p (inserted_p - sum m_pk row_k)
         # over older pivots k: settle pivots newest first, so each weight is
         # final when its pivot is popped.

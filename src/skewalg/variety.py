@@ -7,16 +7,29 @@ with monomials substituted for their variables, embedded in a one-hole
 monomial context; ComponentSpace streams that enumeration into an echelon
 accumulator, stopping early when a membership target is reached or the
 ambient space saturates.
+
+Generators that cannot raise the rank are skipped by slot orbit, before
+they are vectorised.  The generators with one context and one set of
+distinct slot words form a group, whose words are numbered in the order
+the group first meets them.  In a group, generator (idx, subs) is the
+image of its abstract polynomial, f_idx with variable i renamed to
+y_p[i] where p[i] numbers subs[i], under one linear map: the words go in
+for the y's and the result into the context.  A generator whose abstract
+polynomial lies in the span of those already streamed in its group would
+reduce to zero, so it is dropped.  Only dependent insertions vanish:
+rows, pivots, provenance and certificates stay the same, and the
+rank-raising insertions keep their order.
 """
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .config import DEFAULT_CONFIG, ResourceLimitError
 from .linalg import EchelonAccumulator
 from .poly import (MultiPoly, associator, commutator, format_poly, multiply,
-                   parse_poly, parse_word)
+                   parse_poly, parse_word, relabel_poly)
 from .rationals import QQ, qq_str
 from .symmetrize import linearize
 from .words import (HOLE, enumerate_words, format_word, md_key, multidegree_of,
@@ -92,10 +105,11 @@ class GenDescriptor:
     substitution: tuple  # word for identity variable i+1 at position i
     context: object      # word with exactly one HOLE leaf; HOLE alone = no context
 
-    def to_json(self, variety: Variety) -> dict:
+    def to_json(self, identity: str) -> dict:
+        """identity: the text of the identity this descriptor names."""
         return {
             "identity_index": self.identity_index,
-            "identity": format_poly(variety.identities[self.identity_index]),
+            "identity": identity,
             "substitution": {f"x{i + 1}": format_word(w)
                              for i, w in enumerate(self.substitution)},
             "context": format_word(self.context),
@@ -169,6 +183,44 @@ def consequence_generators(variety: Variety, d: dict):
                     yield expand_descriptor(variety, desc), desc
 
 
+class _SlotOrbits:
+    """Which slot patterns of one identity set are spanned by earlier ones.
+
+    A pattern (idx, p) stands for identity idx with variable i+1 renamed to
+    y_{p[i]+1}.  The state of a group is the frozenset of independent
+    patterns streamed into it; whether a pattern is spanned depends on
+    nothing but the state and the pattern, so each answer is computed once.
+    """
+
+    def __init__(self, identities: tuple):
+        self.identities = identities
+        self.steps = {}  # (state, pattern) -> next state, None if spanned
+
+    def after(self, state: frozenset, pattern: tuple):
+        """The state after streaming pattern, or None when it is spanned."""
+        try:
+            return self.steps[state, pattern]
+        except KeyError:
+            pass
+        grown = state | {pattern}
+        cols = {}  # abstract word -> column
+        vecs = []
+        for idx, p in grown:
+            f = relabel_poly(self.identities[idx], {i + 1: j + 1 for i, j in enumerate(p)})
+            vecs.append({cols.setdefault(w, len(cols)): c for w, c in f.terms.items()})
+        acc = EchelonAccumulator(len(cols))
+        for v in vecs:
+            acc.insert_reduce(v)
+        nxt = self.steps[state, pattern] = grown if acc.rank == len(grown) else None
+        return nxt
+
+
+@lru_cache(maxsize=32)
+def _slot_orbits(identities: tuple) -> _SlotOrbits:
+    """One memo per identity set, shared by all its components."""
+    return _SlotOrbits(identities)
+
+
 @dataclass
 class MembershipCertificate:
     """Exact witness: target = sum of coefficient * expanded descriptor."""
@@ -179,12 +231,14 @@ class MembershipCertificate:
     entries: list  # (GenDescriptor, coefficient)
 
     def to_json(self, variety: Variety) -> dict:
+        texts = {i: format_poly(variety.identities[i])  # once per identity used
+                 for i in {desc.identity_index for desc, _ in self.entries}}
         return {
             "target": format_poly(self.target),
             "variety": self.variety_name,
             "multidegree": {f"x{v}": e for v, e in sorted(self.multidegree.items())},
             "generators": [
-                {**desc.to_json(variety), "coefficient": qq_str(c)}
+                {**desc.to_json(texts[desc.identity_index]), "coefficient": qq_str(c)}
                 for desc, c in self.entries
             ],
         }
@@ -227,8 +281,9 @@ class ComponentSpace:
         self.acc = EchelonAccumulator(len(self.ambient))
         self._stream = consequence_generators(variety, self.multidegree)
         self._descriptors = {}  # insertion id -> GenDescriptor
-        self._seen_vectors = set()  # raw vectors already offered (identical
-        # expansions of distinct descriptors carry no new information)
+        self._orbits = _slot_orbits(variety.identities)
+        # (context, set of slot words) -> (the words in first-seen order, state)
+        self._groups = {}
         self._streamed = 0
         self.exhausted = False
 
@@ -244,33 +299,46 @@ class ComponentSpace:
         return out
 
     def _insert_next(self) -> bool:
-        """Insert one generator; returns False when the stream is exhausted."""
+        """Stream one generator; returns False when the stream is exhausted.
+
+        Every streamed generator counts against max_generators.  One whose
+        slot pattern is spanned in its group (see the module docstring) is
+        dropped after expansion, before it is vectorised; the rest are
+        inserted, and the descriptors of those that raise the rank kept.
+        """
         nxt = next(self._stream, None)
         if nxt is None:
-            self.exhausted = True
+            self._finish()
             return False
         self._streamed += 1
         if self._streamed > self.config.max_generators:
             raise ResourceLimitError("max_generators", self._streamed,
                                      self.config.max_generators)
         poly, desc = nxt
-        vec = self.vec(poly)
-        key = frozenset(vec.items())
-        if key in self._seen_vectors:
+        subs = desc.substitution
+        group = (desc.context, frozenset(subs))
+        words, state = self._groups.get(group) or (tuple(dict.fromkeys(subs)), frozenset())
+        state = self._orbits.after(
+            state, (desc.identity_index, tuple(map(words.index, subs))))
+        if state is None:
             return True
-        self._seen_vectors.add(key)
-        if self.acc.insert_reduce(vec):
+        self._groups[group] = words, state
+        if self.acc.insert_reduce(self.vec(poly)):
             self._descriptors[self.acc.n_inserted - 1] = desc
+            if self.acc.rank == len(self.ambient):
+                self._finish()  # the rest of the stream cannot change any answer
         return True
+
+    def _finish(self):
+        """Mark the stream spent, or not worth reading on, and drop the
+        group table."""
+        self.exhausted = True
+        self._groups = None
 
     def saturate(self):
         """Consume the whole generator stream (early exit on full rank)."""
-        while not self.exhausted and self.acc.rank < len(self.ambient):
-            if not self._insert_next():
-                break
-        # at full rank the remaining stream cannot change any answer
-        if self.acc.rank >= len(self.ambient):
-            self.exhausted = True
+        while not self.exhausted and self._insert_next():
+            pass
         return self
 
     def dimension(self) -> int:

@@ -4,7 +4,10 @@ Deliberately naive and separate from skewalg.linalg: plain dense Gaussian
 elimination on lists of Fractions, used to cross-check ranks and span
 coefficients produced by the sparse accumulator, and a sparse echelon that
 composes provenance eagerly on every insert, used to check certificates
-entry for entry.  fm_by_substitution builds f_m with polynomial
+entry for entry.  UnprunedSaturation feeds the whole generator stream,
+exact duplicates dropped by raw vector, into an accumulator of its own,
+used to check that skipping generators by slot orbit changes no row,
+provenance value or certificate.  fm_by_substitution builds f_m with polynomial
 substitution, separate from skewalg.family's relabelling, and
 alternate_by_relabel alternates term by term, separate from
 skewalg.symmetrize's per-shape alternation.
@@ -14,8 +17,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
+from skewalg.linalg import EchelonAccumulator
 from skewalg.poly import MultiPoly, add_terms, commutator, substitute
-from skewalg.words import relabel
+from skewalg.variety import consequence_generators
+from skewalg.words import enumerate_words, relabel
 
 
 def dense_matrix(sparse_rows, dim):
@@ -151,6 +156,37 @@ class EagerProvenanceEchelon:
         for col, c in combo.items():
             _sub_scaled(coeffs, -c, self.provenance[col])
         return coeffs
+
+
+class UnprunedSaturation:
+    """A T-ideal component saturated from every streamed generator.
+
+    Each generator is vectorised and offered to the echelon unless an
+    identical raw vector was offered before; nothing else is skipped and
+    the stream is read to the end.
+    """
+
+    def __init__(self, variety, multidegree):
+        self.ambient = enumerate_words(multidegree)
+        index = {w: i for i, w in enumerate(self.ambient)}
+        self.acc = EchelonAccumulator(len(self.ambient))
+        self.descriptors = {}  # insertion id -> descriptor, rank-raising only
+        seen = set()
+        for poly, desc in consequence_generators(variety, multidegree):
+            vec = {index[w]: c for w, c in poly.terms.items()}
+            key = frozenset(vec.items())
+            if key in seen:
+                continue
+            seen.add(key)
+            if self.acc.insert_reduce(vec):
+                self.descriptors[self.acc.n_inserted - 1] = desc
+
+    def express(self, vec):
+        """[(descriptor, coefficient)] in insertion order, or None."""
+        coeffs = self.acc.express_in_span(vec).coefficients
+        if coeffs is None:
+            return None
+        return [(self.descriptors[i], c) for i, c in sorted(coeffs.items())]
 
 
 @lru_cache(maxsize=None)

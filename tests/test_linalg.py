@@ -217,6 +217,15 @@ def _vector_sets(draw):
 # and the non-unit elimination branch run
 @example((3, [{0: QQ(2), 1: QQ(1)}, {0: QQ(1, 2), 1: QQ(5), 2: QQ(1, 3)}],
           {0: QQ(1, 4), 1: QQ(7, 4), 2: QQ(1)}))
+# column 2 cancels when pivot 0 is eliminated and comes back with pivot 1, so
+# it sits on the heap twice and the second entry is stale
+@example((4, [{0: QQ(1), 2: QQ(1)}, {1: QQ(1), 2: QQ(-1)}, {2: QQ(1), 3: QQ(1)},
+              {0: QQ(1), 1: QQ(1), 2: QQ(1)}],
+          {0: QQ(1), 1: QQ(1), 2: QQ(1)}))
+# a dependent insertion, and a target, that are 1/3 of the normalised row: the
+# multiplier w/d = 2/6 is formed only by express_in_span
+@example((2, [{0: QQ(2), 1: QQ(1)}, {0: QQ(1, 3), 1: QQ(1, 6)}],
+          {0: QQ(1, 3), 1: QQ(1, 6)}))
 def test_deferred_provenance_matches_eager_oracle(case):
     dim, vecs, target = case
     acc = EchelonAccumulator(dim)

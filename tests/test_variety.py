@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from oracles import EagerProvenanceEchelon, dense_rank
+from oracles import EagerProvenanceEchelon, UnprunedSaturation, dense_rank
 from skewalg.config import Config, ResourceLimitError
 from skewalg.poly import (MultiPoly, commutator, jordan, multiply, parse_poly,
                           substitute)
@@ -230,6 +230,20 @@ def test_resource_limits():
     assert e.value.limit_name == "max_generators"
 
 
+def test_max_generators_counts_skipped_generators():
+    # a generator skipped by slot orbit is still streamed, so the limit trips
+    # at the same count as over the unpruned stream
+    total = len(list(consequence_generators(ALT, md(1, 1, 1))))
+    for n in range(1, total + 1):
+        space = ComponentSpace(ALT, md(1, 1, 1), Config(max_generators=n))
+        if n == total:
+            assert space.dimension() == 7
+            continue
+        with pytest.raises(ResourceLimitError) as e:
+            space.dimension()
+        assert (e.value.needed, e.value.limit) == (n + 1, n)
+
+
 def test_vec_rejects_foreign_words():
     space = ComponentSpace(ALT, md(1, 1, 1))
     with pytest.raises(ValueError):
@@ -331,3 +345,51 @@ def test_membership_certificates_match_eager_oracle(variety, degree):
         assert [c for _, c in cert.entries] == [c for _, c in expected]
         for (desc, _), (ins_id, _) in zip(cert.entries, expected):
             assert space.vec(expand_descriptor(variety, desc)) == inserted[ins_id]
+
+
+def _pivots_in_order(acc, descriptors):
+    """(pivot column, descriptor) per rank-raising insertion, oldest first."""
+    by_id = sorted((ins_id, p) for p, (ins_id, _) in acc.pivot_source.items())
+    return [(p, descriptors[ins_id]) for ins_id, p in by_id]
+
+
+_LAYOUTS = [md(1, 1, 1), md(2, 1), md(3, 1), md(2, 2), md(1, 1, 1, 1),
+            md(2, 1, 1), md(4), md(3, 1, 1), md(2, 2, 1)]
+
+
+@pytest.mark.parametrize("name", ["alt", "flex", "assoc", "ncj_cor1"])
+def test_slot_orbit_pruning_matches_unpruned_saturation(name):
+    variety_ = builtin_variety(name)
+    rng = random.Random(f"orbits-{name}")
+    for degree in rng.sample(_LAYOUTS, 3) + [md(2, 1, 1)]:
+        oracle = UnprunedSaturation(variety_, degree)
+        space = ComponentSpace(variety_, degree).saturate()
+        acc = space.acc
+        assert acc.rows == oracle.acc.rows
+        assert acc.provenance == oracle.acc.provenance
+        assert ({p: inv for p, (_, inv) in acc.pivot_source.items()}
+                == {p: inv for p, (_, inv) in oracle.acc.pivot_source.items()})
+        assert (_pivots_in_order(acc, space._descriptors)
+                == _pivots_in_order(oracle.acc, oracle.descriptors))
+        assert acc.n_inserted <= oracle.acc.n_inserted
+        gens = [p for p, _ in consequence_generators(variety_, degree)]
+        for _ in range(4):
+            target = MultiPoly.zero()
+            for p in rng.sample(gens, min(len(gens), rng.randint(1, 4))):
+                target = target + p.scale(rng.randint(-3, 3) or 1)
+            if target.is_zero():
+                continue
+            expected = oracle.express(space.vec(target))
+            cert, _ = space.express(target)
+            assert cert.entries == expected
+            ok, lazy, _ = ComponentSpace(variety_, degree).membership(target)
+            assert ok and lazy.entries == expected
+
+
+def test_slot_orbits_skip_dependent_generators():
+    # at alt (2,1,1) the repeated variable makes slot words coincide, and
+    # slot orbits drop more than exact duplicates do
+    space = ComponentSpace(ALT, md(2, 1, 1)).saturate()
+    oracle = UnprunedSaturation(ALT, md(2, 1, 1))
+    assert space.acc.rank == oracle.acc.rank
+    assert space.acc.n_inserted < oracle.acc.n_inserted
