@@ -47,8 +47,8 @@ def fm(m: int) -> MultiPoly:
             rest = dict(enumerate((k for k in range(1, m + 1) if k != i and k != j),
                                   start=2))
             for first, s in (((i, j), sign), ((j, i), -sign)):
-                mapping = {1: first, **rest}
-                add_terms(acc, ((relabel(w, mapping), s * c) for w, c in prev))
+                mapping, shared = {1: first, **rest}, {}  # prev keeps its words alive
+                add_terms(acc, ((relabel(w, mapping, shared), s * c) for w, c in prev))
     return MultiPoly(acc)
 
 

@@ -9,12 +9,19 @@ assignment changes the result by the sign of the connecting permutation.
 
 No 1/n! normalization is applied anywhere, so integral inputs stay
 integral and certificates remain exact.
+
+alternate, and with it skew, fills each bracketing shape by recursion over
+its tree: a node's word list is the product of its children's lists over
+every split of its variables, memoised per subshape and variable set.  So
+every distinct subword is one tuple, shared by all the words that hold it,
+and the collector has far fewer objects to track.
 """
 
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import factorial
 
 from .poly import MultiPoly, _wrap, add_terms, gc_paused, relabel_poly
+from .words import degree, relabel
 
 
 def permutation_sign(perm) -> int:
@@ -83,7 +90,9 @@ def alternate(p: MultiPoly) -> MultiPoly:
         C_shape = sum of sgn(order) * c over the terms of that shape.
 
     A word determines its shape and its leaf order, so distinct (shape, t)
-    pairs give distinct words and the output needs no accumulation.
+    pairs give distinct words and the output needs no accumulation.  Each
+    shape is filled by recursion over its tree (see _fill), and every
+    distinct subword is built once and shared by all words that hold it.
     """
     if p.is_zero():
         return MultiPoly.zero()
@@ -96,23 +105,66 @@ def alternate(p: MultiPoly) -> MultiPoly:
             shape = _positional(w, order)
             yield shape, permutation_sign(order) * c
     shapes = add_terms({}, signed_shapes())
-    perms = [(permutation_sign(t), t) for t in permutations(sorted(p.variables()))]
-    builders = [(_builder(shape), c) for shape, c in shapes.items()]
+    variables = tuple(sorted(p.variables()))
+    blank = dict.fromkeys(range(1, len(variables) + 1), 0)
+    memo = {}
+    out = {}
     with gc_paused():
-        return _wrap({build(t): sign * c for build, c in builders for sign, t in perms})
+        for shape, c in shapes.items():
+            if shape == 1:  # the one-leaf shape: p is c * x_v
+                out[variables[0]] = c
+                continue
+            for cross, (left_signs, left), (right_signs, right) in _splits(
+                    relabel(shape, blank), variables, memo):
+                scaled = [cross * c * s for s in left_signs]
+                out.update(zip(product(left, right),
+                               [s * t for s in scaled for t in right_signs]))
+    return _wrap(out)
 
 
-def _builder(shape):
-    """A function t -> fill(shape, t), leaf at position k taking t[k-1].
+def _splits(skeleton, variables, memo):
+    """The fillings of a node by its splits of the sorted variables.
 
-    The source is made only from the integer positions that _positional
-    assigned, never from input text.
+    Positions run left to right, so the left child, with a leaves, takes
+    the first a positions.  For each a-subset S of variables (by indices)
+    this yields the cross sign (-1)^(sum of S's indices - a(a-1)/2), which
+    is the sign of the shuffle putting S before the rest, and the fillings
+    of the left child from S and of the right child from the rest.
     """
-    def source(s):
-        if isinstance(s, int):
-            return f"t[{s - 1}]"
-        return f"({source(s[0])}, {source(s[1])})"
-    return eval(f"lambda t: {source(shape)}")
+    left, right = skeleton
+    a = degree(left)
+    offset = a * (a - 1) // 2
+    indices = range(len(variables))
+    for chosen in combinations(indices, a):
+        cross = -1 if (sum(chosen) - offset) % 2 else 1
+        rest = tuple(variables[i] for i in indices if i not in chosen)
+        yield (cross, _fill(left, tuple(variables[i] for i in chosen), memo),
+               _fill(right, rest, memo))
+
+
+def _fill(skeleton, variables, memo):
+    """(signs, words): fill(skeleton, t) over every ordering t of variables.
+
+    skeleton is a shape with every leaf 0 and variables a sorted tuple;
+    signs[k] is sgn(t) of words[k].  Memoised on (skeleton, variables), so a
+    subword is built once per call of alternate however many words hold it.
+    The lists are parallel rather than a list of pairs, which would be one
+    more tuple per word for the collector to track.
+    """
+    key = (skeleton, variables)
+    hit = memo.get(key)
+    if hit is None:
+        if skeleton == 0:
+            hit = [1], [variables[0]]
+        else:
+            signs, words = [], []
+            for cross, (left_signs, left), (right_signs, right) in _splits(
+                    skeleton, variables, memo):
+                words.extend(product(left, right))
+                signs.extend(cross * s * t for s in left_signs for t in right_signs)
+            hit = signs, words
+        memo[key] = hit
+    return hit
 
 
 def is_skew_symmetric(p: MultiPoly) -> bool:

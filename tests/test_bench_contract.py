@@ -6,7 +6,10 @@ startup here makes a rename or deletion of a traced name fail the tests
 instead of the benchmark.  The tracer also counts streamed generators
 through the wrapped consequence_generators and echelon writes through
 insert_reduce; a saturation that stopped going through either would read
-zero on those counters, so one is run and its counts checked.
+zero on those counters, so one is run and its counts checked.  In the same
+way skew must call alternate through the module, and fm must recurse
+through its module-level name, or the per-layer term counts would miss
+the nested calls.
 """
 
 import os
@@ -42,3 +45,20 @@ def test_tracer_counts_a_saturation():
         "print(tr.streamed, tr.acc_calls.get(space.acc, 0), space.acc.rank)\n")
     streamed, inserts, rank = map(int, out.split())
     assert streamed >= inserts >= rank > 0
+
+
+def test_tracer_counts_nested_term_builders():
+    out = _run_traced(
+        "from skewalg import family, symmetrize\n"
+        "u = family.x_bracket(5).poly\n"
+        "tr = tracing.Tracer()\n"
+        "tracing.install(tr)\n"
+        "tr.enabled = True\n"
+        "s = symmetrize.skew(u)\n"
+        "print(tr.terms_out, len(s))\n"
+        "family.fm(5)\n"
+        "print(*sorted(tr.fm_built.items()))\n")
+    terms, fm_built = out.splitlines()
+    terms_out, skew_terms = map(int, terms.split())
+    assert terms_out == 2 * skew_terms  # skew and the alternate inside it
+    assert fm_built == "(1, 1) (2, 2) (3, 12) (4, 96) (5, 1440)"

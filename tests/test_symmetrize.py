@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations, count, permutations
 from math import factorial, prod
 
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import alternate_by_relabel
 
-from skewalg.family import x_bracket, z_word
+from skewalg.family import fm, x_bracket, z_word
 from skewalg.poly import MultiPoly, multiply, parse_poly, relabel_poly
 from skewalg.rationals import QQ
 from skewalg.symmetrize import (alternate, as_one_variable, collapse,
@@ -217,6 +218,9 @@ def _multilinear_by_shape(draw):
 @given(_multilinear_by_shape())
 @example(parse_poly("(x1*x2) + (x2*x1)"))
 @example(parse_poly("x5"))
+@example(parse_poly("x3"))
+@example(parse_poly("((x2*x5)*x7) + 2*(x7*(x2*x5)) - (x5*(x7*x2))"))
+@example(parse_poly("((x1*x2)*x3) + ((x2*x1)*x3) + 3*(x1*(x3*x2))"))  # C_shape 0 on one shape
 def test_alternate_matches_relabel_oracle(p):
     a = alternate(p)
     assert a == alternate_by_relabel(p)
@@ -229,6 +233,38 @@ def test_skew_of_brackets_matches_relabel_oracle(build, k):
     u = build(k).poly
     representative = MultiPoly.from_pairs((_by_position(w), c) for w, c in u.terms.items())
     assert skew(u) == alternate_by_relabel(representative)
+
+
+def _node_objects_and_values(words):
+    """Internal nodes reachable from words: distinct objects, distinct values."""
+    objects, values, stack = set(), set(), list(words)
+    while stack:
+        w = stack.pop()
+        if isinstance(w, int) or id(w) in objects:
+            continue
+        objects.add(id(w))
+        values.add(w)
+        stack.extend(w)
+    return len(objects), len(values)
+
+
+def test_subwords_are_built_once():
+    # every subword of an alternate is one object, whichever words hold it
+    assert _node_objects_and_values(skew(x_bracket(7).poly).terms) == (265902, 265902)
+    # fm relabels each node of fm(m-1) once per relabelling; equal images
+    # made by different relabellings stay apart (80670 objects unshared)
+    assert _node_objects_and_values(fm(6).terms) == (34470, 30510)
+
+
+def test_skew_peak_memory():
+    u = x_bracket(7).poly
+    tracemalloc.start()
+    try:
+        skew(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
 
 
 @st.composite

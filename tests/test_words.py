@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewalg.words import (HOLE, degree, enumerate_words, format_word, leaves,
                            md_key, multidegree_of, relabel, sort_key, word_count)
@@ -86,15 +88,52 @@ def test_canonical_order_is_strict_and_stable():
     assert ws == enumerate_words({2: 1, 1: 2})
 
 
-def test_relabel_word_images_partial_map_and_hole():
+@pytest.mark.parametrize("new_shared", [lambda: None, dict], ids=["plain", "shared"])
+def test_relabel_word_images_partial_map_and_hole(new_shared):
+    def rl(w, mapping):
+        return relabel(w, mapping, new_shared())
     w = ((1, 2), 1)
-    assert relabel(w, {1: 3}) == ((3, 2), 3)  # partial map: x2 stays
-    assert relabel(w, {}) == w
-    assert relabel(w, {1: (5, 5), 2: 4}) == (((5, 5), 4), (5, 5))  # word images
-    assert relabel(w, {1: (2, 1), 2: 1}) == (((2, 1), 1), (2, 1))  # not relabelled again
+    assert rl(w, {1: 3}) == ((3, 2), 3)  # partial map: x2 stays
+    assert rl(w, {}) == w
+    assert rl(w, {1: (5, 5), 2: 4}) == (((5, 5), 4), (5, 5))  # word images
+    assert rl(w, {1: (2, 1), 2: 1}) == (((2, 1), 1), (2, 1))  # not relabelled again
     ctx = ((1, HOLE), 2)
-    assert relabel(ctx, {HOLE: (3, 3)}) == ((1, (3, 3)), 2)
-    assert relabel(HOLE, {HOLE: w}) == w
+    assert rl(ctx, {HOLE: (3, 3)}) == ((1, (3, 3)), 2)
+    assert rl(HOLE, {HOLE: w}) == w
+
+
+def test_relabel_shared_subword_has_one_image():
+    s = (1, 2)
+    image = relabel((s, (3, s)), {1: 4}, {})
+    assert image == ((4, 2), (3, (4, 2)))
+    assert image[0] is image[1][1]
+
+
+_LEAVES = st.integers(HOLE, 5)
+_IMAGES = st.recursive(st.integers(1, 7), lambda sub: st.tuples(sub, sub), max_leaves=4)
+
+
+@st.composite
+def _words_sharing_subwords(draw):
+    """Words over a pool in which each new node reuses earlier node objects."""
+    pool = draw(st.lists(_LEAVES, min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 10))):
+        pool.append((draw(st.sampled_from(pool)), draw(st.sampled_from(pool))))
+    return pool
+
+
+@settings(max_examples=300, deadline=None)
+@given(_words_sharing_subwords(), st.dictionaries(_LEAVES, _IMAGES, max_size=4))
+def test_relabel_shared_matches_plain(words, mapping):
+    shared = {}
+    images = [relabel(w, mapping, shared) for w in words]
+    assert images == [relabel(w, mapping) for w in words]
+    image_of = {id(w): image for w, image in zip(words, images)}
+    for w, image in zip(words, images):  # a shared input node has one image object
+        if not isinstance(w, int):
+            for child, child_image in zip(w, image):
+                if not isinstance(child, int):
+                    assert child_image is image_of[id(child)]
 
 
 def test_md_key_normalization():
