@@ -88,18 +88,26 @@ def test_canonical_order_is_strict_and_stable():
     assert ws == enumerate_words({2: 1, 1: 2})
 
 
-@pytest.mark.parametrize("new_shared", [lambda: None, dict], ids=["plain", "shared"])
-def test_relabel_word_images_partial_map_and_hole(new_shared):
-    def rl(w, mapping):
-        return relabel(w, mapping, new_shared())
+def test_relabel_word_images_partial_map_and_hole():
     w = ((1, 2), 1)
-    assert rl(w, {1: 3}) == ((3, 2), 3)  # partial map: x2 stays
-    assert rl(w, {}) == w
-    assert rl(w, {1: (5, 5), 2: 4}) == (((5, 5), 4), (5, 5))  # word images
-    assert rl(w, {1: (2, 1), 2: 1}) == (((2, 1), 1), (2, 1))  # not relabelled again
+    assert relabel(w, {1: 3}) == ((3, 2), 3)  # partial map: x2 stays
+    assert relabel(w, {}) == w
+    assert relabel(w, {1: (5, 5), 2: 4}) == (((5, 5), 4), (5, 5))  # word images
+    assert relabel(w, {1: (2, 1), 2: 1}) == (((2, 1), 1), (2, 1))  # not relabelled again
     ctx = ((1, HOLE), 2)
-    assert rl(ctx, {HOLE: (3, 3)}) == ((1, (3, 3)), 2)
-    assert rl(HOLE, {HOLE: w}) == w
+    assert relabel(ctx, {HOLE: (3, 3)}) == ((1, (3, 3)), 2)
+    assert relabel(HOLE, {HOLE: w}) == w
+
+
+def test_relabel_shared_dict_word_images_partial_map_and_hole():
+    w = ((1, 2), 1)
+    assert relabel(w, {1: 3}, {}) == ((3, 2), 3)
+    assert relabel(w, {}, {}) == w
+    assert relabel(w, {1: (5, 5), 2: 4}, {}) == (((5, 5), 4), (5, 5))
+    assert relabel(w, {1: (2, 1), 2: 1}, {}) == (((2, 1), 1), (2, 1))
+    ctx = ((1, HOLE), 2)
+    assert relabel(ctx, {HOLE: (3, 3)}, {}) == ((1, (3, 3)), 2)
+    assert relabel(HOLE, {HOLE: w}, {}) == w
 
 
 def test_relabel_shared_subword_has_one_image():
