@@ -294,7 +294,7 @@ def solve_skew_decomposition(m: int, config=DEFAULT_CONFIG) -> SkewDecomposition
     coeffs, _ = quotient.express_in_span(space.residual_of(fm(m)))
     if coeffs is None:
         return SkewDecomposition(m, "no_solution")
-    z_independent = any(ins_id == 1 for ins_id, _ in quotient.pivot_source.values())
+    z_independent = any(source[0] == 1 for source in quotient.pivot_source.values())
     alpha = QQ(coeffs.get(0, 0))
     beta = QQ(coeffs.get(1, 0)) if z_independent else None
     beta_free = (m - 2 >= 2) and not z_independent

@@ -8,24 +8,29 @@ pivot column only introduces larger columns, which keeps the sweep finite.
 
 Arithmetic is fraction-free.  A pivot row is stored as a primitive integer
 dict R whose lead R[pivot] is positive; the normalised row, with 1 at the
-pivot, is R / R[pivot].  A vector being reduced is an integer dict W with a
-positive integer denominator d, standing for W/d: a rational input is
+pivot, is R / R[pivot].  A vector being reduced is an integer vector W with
+a positive integer denominator d, standing for W/d: a rational input is
 scaled by the lcm of its denominators on entry.  Eliminating a pivot column
 with lead a from a work entry w is W <- (a/g)*W - (w/g)*R with
 d <- (a/g)*d, g = gcd(a, w); in the common case a == 1 that is W -= w*R.
-One pass over R does the subtraction and queues each pivot column that
-enters W, so the sweep needs no second look at the row.  Remainders leave
-as exact rationals, int where integral.
+During a sweep W lives in a dense list of the accumulator's dimension,
+allocated per call, with a list of the columns it touched: one pass over R
+does the subtraction and queues each pivot column that W touches for the
+first time, so the sweep needs no second look at the row.  Remainders
+leave as exact rationals, int where integral.
 
-Provenance is stored, not composed, at insert time: each pivot keeps its
-insertion id, the inverse d/W[pivot] of its leading remainder coefficient,
-and the exact multipliers w/d with which the reduction eliminated earlier
-(normalised) pivot rows.  The sweep records each multiplier as the raw
-integers (w, d); they become rationals only when the insertion raises the
-rank, so dependent insertions never build one and never enter provenance.
-express_in_span composes a certificate on demand: it reduces the vector
-and back-substitutes the stored multipliers over the pivots it reaches,
-newest first, giving exact coefficients keyed by insertion id.
+Provenance is stored, not composed, at insert time, and in integers.  A
+sweep that eliminated pivot k with work entry w_k over denominator d_k and
+ended with denominator d and raw lead L = W[pivot] gives the new
+normalised row as (d*v - sum M_k*row_k) / L over the normalised rows of
+older pivots, with integer numerators M_k = w_k * (d // d_k).  The pivot
+keeps its insertion id with (d, L) and the M_k, all divided by their
+common gcd; dependent insertions store nothing.  express_in_span composes
+a certificate on demand: it reduces the vector and back-substitutes the
+stored numerators over the pivots it reaches, newest first, keeping every
+weight and coefficient an integer over one common denominator, and forms
+each coefficient's exact rational once, at the end.  Coefficients are
+keyed by insertion id.
 
 Pivot choice is always the lowest column of the reduced remainder, so
 ranks, remainders and certificates are deterministic functions of the
@@ -79,9 +84,10 @@ class EchelonAccumulator:
             raise ValueError("dimension must be nonnegative")
         self.dimension = dimension
         self.rows = {}  # pivot column -> primitive integer row, lead > 0
-        # pivot column -> {earlier pivot column -> elimination multiplier}
+        # pivot column -> {earlier pivot column -> integer multiplier M_k}
         self.provenance = {}
-        self.pivot_source = {}  # pivot column -> (insertion id, inverse)
+        # pivot column -> (insertion id, d, L): row = (d*v - sum M_k row_k) / L
+        self.pivot_source = {}
         self.n_inserted = 0
         self.last_pivot = None  # pivot column installed by the latest insert
 
@@ -94,52 +100,57 @@ class EchelonAccumulator:
             if not 0 <= k < self.dimension:
                 raise ValueError(f"column {k} outside dimension {self.dimension}")
 
-    def _reduce(self, work: dict, d: int, combo: list | None) -> int:
+    def _reduce(self, work: dict, d: int, combo: list | None):
         """Eliminate every pivot column from work/d, recording pivot multiples.
 
-        work is reduced in place and the new denominator is returned; combo,
-        when given, receives one raw (column, w, d) per elimination, the
-        multiplier w/d left for the caller to form.  Rows lead at their
-        pivot, so elimination introduces only larger columns and the columns
-        pop in ascending order.  One pass over the row updates work and
-        pushes each pivot column that newly enters it; a column may then sit
-        on the heap twice, or have cancelled since its push, and an entry
-        whose column is no longer in work is stale.
+        Returns the remainder as (integer dict, denominator); combo, when
+        given, receives one raw (column, w, d) per elimination.  The sweep
+        runs in a dense scratch list made for this call, so nothing of it
+        outlives the call.  A slot holds None until the sweep first touches
+        its column; that first touch appends the column to touched and, if
+        it is a pivot column, pushes it.  Rows lead at their pivot, so
+        elimination introduces only larger columns and the columns pop in
+        ascending order, each once; a column that cancelled since its push
+        holds 0 and is skipped, and it cannot come back after its pop.
         """
         rows = self.rows
-        heap = [k for k in work if k in rows]
+        scratch = [None] * self.dimension
+        for k, v in work.items():
+            scratch[k] = v
+        touched = list(work)
+        heap = [k for k in touched if k in rows]
         heapq.heapify(heap)
-        push, pop, get = heapq.heappush, heapq.heappop, work.get
+        push, pop = heapq.heappush, heapq.heappop
         while heap:
             col = pop(heap)
-            w = get(col)
-            if w is None:
+            w = scratch[col]
+            if not w:
                 continue
             if combo is not None:
                 combo.append((col, w, d))
             row = rows[col]
             # W <- (a/g) W - (w/g) R, d <- (a/g) d; a unit lead needs no scaling
             a = row[col]
-            g = gcd(a, w)
-            if a != g:
-                scale = a // g
-                for k in work:
-                    work[k] *= scale
-                d *= scale
-            c = w // g
+            if a == 1:
+                c = w
+            else:
+                g = gcd(a, w)
+                if a != g:
+                    scale = a // g
+                    for k in touched:
+                        scratch[k] *= scale
+                    d *= scale
+                c = w // g
             for k, v in row.items():
-                old = get(k)
+                old = scratch[k]
                 if old is None:
-                    work[k] = -c * v
+                    scratch[k] = -c * v
+                    touched.append(k)
                     if k in rows:
                         push(heap, k)
                 else:
-                    nv = old - c * v
-                    if nv:
-                        work[k] = nv
-                    else:
-                        del work[k]
-        return d
+                    scratch[k] = old - c * v
+        return {k: scratch[k] for k in touched if scratch[k]}, d
 
     def insert_reduce(self, vec: dict) -> bool:
         """Reduce a vector and install the remainder as a new pivot if nonzero.
@@ -149,9 +160,8 @@ class EchelonAccumulator:
         self._check_dim(vec)
         ins_id = self.n_inserted
         self.n_inserted += 1
-        work, d = _to_integers(vec)
         combo = []
-        d = self._reduce(work, d, combo)
+        work, d = self._reduce(*_to_integers(vec), combo)
         if not work:
             self.last_pivot = None
             return False
@@ -163,23 +173,41 @@ class EchelonAccumulator:
         if content != 1:
             work = {k: v // content for k, v in work.items()}
         self.rows[pivot] = work
-        self.provenance[pivot] = {col: _ratio(w, dw) for col, w, dw in combo}
-        self.pivot_source[pivot] = (ins_id, _ratio(d, lead))
+        multipliers = {col: w * (d // dw) for col, w, dw in combo}
+        g = gcd(d, lead, *multipliers.values())
+        if g != 1:
+            multipliers = {col: m // g for col, m in multipliers.items()}
+            d //= g
+            lead //= g
+        self.provenance[pivot] = multipliers
+        self.pivot_source[pivot] = (ins_id, d, lead)
         self.last_pivot = pivot
         return True
 
     def residual(self, vec: dict) -> dict:
         """Remainder of vec modulo the current row space (a fresh dict)."""
         self._check_dim(vec)
-        work, d = _to_integers(vec)
-        return _to_rationals(work, self._reduce(work, d, None))
+        return _to_rationals(*self._reduce(*_to_integers(vec), None))
 
     def rereduce(self, residual: dict):
-        """Re-reduce an externally held residual after new pivots appeared."""
-        work, d = _to_integers(residual)
-        d = self._reduce(work, d, None)
-        residual.clear()
-        residual.update(_to_rationals(work, d))
+        """Re-reduce an externally held residual after new pivots appeared.
+
+        Only the part the sweep can reach is converted and reduced: the
+        pivot columns in residual and every column of the rows of the
+        pivots reached from them.  The rest holds no pivot column, so the
+        remainder keeps it as it is.
+        """
+        rows = self.rows
+        stack = [k for k in residual if k in rows]
+        reach = set(stack)
+        while stack:
+            for k in rows[stack.pop()]:
+                if k not in reach:
+                    reach.add(k)
+                    if k in rows:
+                        stack.append(k)
+        part = {k: residual.pop(k) for k in reach if k in residual}
+        residual.update(_to_rationals(*self._reduce(*_to_integers(part), None)))
 
     def express_in_span(self, vec: dict) -> SpanResult:
         """Exact coefficients of vec over the inserted vectors, or a witness.
@@ -189,15 +217,15 @@ class EchelonAccumulator:
         the witness is the leading (minimum) column of the remainder.
         """
         self._check_dim(vec)
-        work, d = _to_integers(vec)
         combo = []
-        self._reduce(work, d, combo)
+        work, den = self._reduce(*_to_integers(vec), combo)
         if work:
             return SpanResult(None, min(work))
-        weights = {col: _ratio(w, dw) for col, w, dw in combo}
-        # vec = sum w_p row_p, and row_p = inv_p (inserted_p - sum m_pk row_k)
-        # over older pivots k: settle pivots newest first, so each weight is
-        # final when its pivot is popped.
+        # vec = sum (W_p/den) row_p, and row_p = (d_p v_p - sum M_pk row_k)
+        # / L_p over older pivots k: settle pivots newest first, so each
+        # weight is final when its pivot is popped.  Weights and coefficients
+        # are integers over den, which grows when L_p does not divide W_p.
+        weights = {col: w * (den // dw) for col, w, dw in combo}
         source = self.pivot_source
         heap = [(-source[col][0], col) for col in weights]
         heapq.heapify(heap)
@@ -207,13 +235,21 @@ class EchelonAccumulator:
             w = weights[col]
             if not w:
                 continue
-            ins_id, inv = source[col]
-            s = w * inv
-            coeffs[ins_id] = s
+            ins_id, d, lead = source[col]
+            if w % lead:
+                scale = abs(lead) // gcd(w, lead)
+                for k in weights:
+                    weights[k] *= scale
+                for k in coeffs:
+                    coeffs[k] *= scale
+                den *= scale
+                w *= scale
+            q = w // lead
+            coeffs[ins_id] = q * d
             for k, m in self.provenance[col].items():
                 if k in weights:
-                    weights[k] -= s * m
+                    weights[k] -= q * m
                 else:
-                    weights[k] = -s * m
+                    weights[k] = -q * m
                     heapq.heappush(heap, (-source[k][0], k))
-        return SpanResult(coeffs, None)
+        return SpanResult({i: _ratio(c, den) for i, c in coeffs.items()}, None)

@@ -9,7 +9,7 @@ accumulator, stopping early when a membership target is reached or the
 ambient space saturates.
 
 Generators that cannot raise the rank are skipped by slot orbit, before
-they are vectorised.  The generators with one context and one set of
+they are expanded.  The generators with one context and one set of
 distinct slot words form a group, whose words are numbered in the order
 the group first meets them.  In a group, generator (idx, subs) is the
 image of its abstract polynomial, f_idx with variable i renamed to
@@ -25,6 +25,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from math import lcm
 
 from .config import DEFAULT_CONFIG, ResourceLimitError
 from .linalg import EchelonAccumulator
@@ -126,7 +127,7 @@ class GenDescriptor:
 def expand_descriptor(variety: Variety, desc: GenDescriptor) -> MultiPoly:
     """Rebuild the generator polynomial from its descriptor.
 
-    consequence_generators expands every streamed generator with this too.
+    ComponentSpace expands with this every streamed generator it inserts.
     MembershipCertificate.recheck shares no code with the echelon, and the
     benchmark's perfbench/reference.py is a separate expander.
     """
@@ -165,9 +166,10 @@ def _splits(d: dict, k: int):
 
 
 def consequence_generators(variety: Variety, d: dict):
-    """Stream (polynomial, descriptor) pairs spanning the T-ideal component.
+    """Stream the descriptors of generators spanning the T-ideal component.
 
-    Deterministic order, no duplicate descriptors.
+    Deterministic order, no duplicates; expand_descriptor gives each
+    generator's polynomial.
     """
     d = {v: e for v, e in d.items() if e}
     for idx, f in enumerate(variety.identities):
@@ -179,8 +181,7 @@ def consequence_generators(variety: Variety, d: dict):
             slot_words = [enumerate_words(md) for md in slot_mds]
             for ctx in contexts:
                 for subs in product(*slot_words):
-                    desc = GenDescriptor(idx, subs, ctx)
-                    yield expand_descriptor(variety, desc), desc
+                    yield GenDescriptor(idx, subs, ctx)
 
 
 class _SlotOrbits:
@@ -260,9 +261,15 @@ class MembershipCertificate:
                     and len(desc.substitution) == arity[desc.identity_index]
                     and multidegree_of(desc.context).get(HOLE) == 1):
                 return False
+        # sum in integers: scale the coefficients, and the target, by the
+        # lcm of the coefficient denominators
+        den = lcm(*(int(c.denominator) for _, c in self.entries))
+        scaled = [(desc, int(c.numerator) * (den // int(c.denominator)))
+                  for desc, c in self.entries]
         return MultiPoly.from_pairs(
-            (w, c * cw) for desc, c in self.entries
-            for w, cw in expand_descriptor(variety, desc).terms.items()) == self.target
+            (w, n * cw) for desc, n in scaled
+            for w, cw in expand_descriptor(variety, desc).terms.items()
+        ) == self.target.scale(den)
 
 
 class ComponentSpace:
@@ -303,18 +310,17 @@ class ComponentSpace:
 
         Every streamed generator counts against max_generators.  One whose
         slot pattern is spanned in its group (see the module docstring) is
-        dropped after expansion, before it is vectorised; the rest are
-        inserted, and the descriptors of those that raise the rank kept.
+        dropped before it is expanded; the rest are expanded and inserted,
+        and the descriptors of those that raise the rank kept.
         """
-        nxt = next(self._stream, None)
-        if nxt is None:
+        desc = next(self._stream, None)
+        if desc is None:
             self._finish()
             return False
         self._streamed += 1
         if self._streamed > self.config.max_generators:
             raise ResourceLimitError("max_generators", self._streamed,
                                      self.config.max_generators)
-        poly, desc = nxt
         subs = desc.substitution
         group = (desc.context, frozenset(subs))
         words, state = self._groups.get(group) or (tuple(dict.fromkeys(subs)), frozenset())
@@ -323,7 +329,8 @@ class ComponentSpace:
         if state is None:
             return True
         self._groups[group] = words, state
-        if self.acc.insert_reduce(self.vec(poly)):
+        vec = self.vec(expand_descriptor(self.variety, desc))
+        if self.acc.insert_reduce(vec):
             self._descriptors[self.acc.n_inserted - 1] = desc
             if self.acc.rank == len(self.ambient):
                 self._finish()  # the rest of the stream cannot change any answer

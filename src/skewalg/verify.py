@@ -25,7 +25,7 @@ from .poly import (MultiPoly, add_terms, commutator, jordan, multiply, relabel_p
 from .rationals import qq_str
 from .symmetrize import collapse, is_skew_symmetric, skew
 from .variety import (builtin_variety, component_dimension, component_space,
-                      consequence_generators, is_member)
+                      consequence_generators, expand_descriptor, is_member)
 from .words import enumerate_words, format_word, leaves
 
 
@@ -331,7 +331,9 @@ def check_engine_soundness(params, config):
     ]
     pools = {}
     for vname, md in layouts:
-        gens = [g for g, _ in consequence_generators(builtin_variety(vname), md)]
+        variety = builtin_variety(vname)
+        gens = [expand_descriptor(variety, desc)
+                for desc in consequence_generators(variety, md)]
         pools[(vname, tuple(sorted(md.items())))] = gens
     rechecked = 0
     for _ in range(n_certs):

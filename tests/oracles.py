@@ -7,19 +7,24 @@ composes provenance eagerly on every insert, used to check certificates
 entry for entry.  UnprunedSaturation feeds the whole generator stream,
 exact duplicates dropped by raw vector, into an accumulator of its own,
 used to check that skipping generators by slot orbit changes no row,
-provenance value or certificate.  fm_by_substitution builds f_m with polynomial
-substitution, separate from skewalg.family's relabelling, and
-alternate_by_relabel alternates term by term, separate from
-skewalg.symmetrize's per-shape alternation.
+provenance value or certificate.  DictSweepEchelon is the integer echelon
+with its sweep on a dict work vector and rational provenance, used to
+check the engine's dense sweep and integer provenance value for value.
+fm_by_substitution builds f_m with polynomial substitution, separate from
+skewalg.family's relabelling, and alternate_by_relabel alternates term by
+term, separate from skewalg.symmetrize's per-shape alternation.
 """
 
+import heapq
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from math import gcd, lcm
 
 from skewalg.linalg import EchelonAccumulator
 from skewalg.poly import MultiPoly, add_terms, commutator, substitute
-from skewalg.variety import consequence_generators
+from skewalg.rationals import qq_div
+from skewalg.variety import consequence_generators, expand_descriptor
 from skewalg.words import enumerate_words, relabel
 
 
@@ -158,6 +163,90 @@ class EagerProvenanceEchelon:
         return coeffs
 
 
+def _ratio(n, d):
+    return n // d if n % d == 0 else qq_div(n, d)
+
+
+class DictSweepEchelon:
+    """Forward echelon over the integers whose sweep works on a dict.
+
+    Same pivot rule, elimination order and primitive rows as the engine's
+    accumulator, but the work vector is a dict whose cancelled entries are
+    deleted, and provenance is stored as rationals: provenance[pivot] maps
+    each eliminated pivot to its multiplier w/d, and pivot_source[pivot] is
+    (insertion id, d / lead of the remainder).  Uses nothing of
+    skewalg.linalg.
+    """
+
+    def __init__(self):
+        self.rows = {}
+        self.provenance = {}
+        self.pivot_source = {}
+        self.n_inserted = 0
+
+    @staticmethod
+    def _to_integers(vec):
+        d = lcm(*(int(v.denominator) for v in vec.values()))
+        return {k: int(v.numerator) * (d // int(v.denominator))
+                for k, v in vec.items() if v}, d
+
+    def _reduce(self, work, d, combo):
+        """Reduce work/d in place; returns the new denominator."""
+        rows = self.rows
+        heap = [k for k in work if k in rows]
+        heapq.heapify(heap)
+        while heap:
+            col = heapq.heappop(heap)
+            w = work.get(col)
+            if w is None:
+                continue
+            if combo is not None:
+                combo.append((col, w, d))
+            row = rows[col]
+            a = row[col]
+            g = gcd(a, w)
+            if a != g:
+                scale = a // g
+                for k in work:
+                    work[k] *= scale
+                d *= scale
+            c = w // g
+            for k, v in row.items():
+                old = work.get(k)
+                if old is None:
+                    work[k] = -c * v
+                    if k in rows:
+                        heapq.heappush(heap, k)
+                elif old == c * v:
+                    del work[k]
+                else:
+                    work[k] = old - c * v
+        return d
+
+    def insert_reduce(self, vec):
+        ins_id = self.n_inserted
+        self.n_inserted += 1
+        work, d = self._to_integers(vec)
+        combo = []
+        d = self._reduce(work, d, combo)
+        if not work:
+            return False
+        pivot = min(work)
+        lead = work[pivot]
+        content = gcd(*work.values())
+        if lead < 0:
+            content = -content
+        self.rows[pivot] = {k: v // content for k, v in work.items()}
+        self.provenance[pivot] = {col: _ratio(w, dw) for col, w, dw in combo}
+        self.pivot_source[pivot] = (ins_id, _ratio(d, lead))
+        return True
+
+    def residual(self, vec):
+        work, d = self._to_integers(vec)
+        d = self._reduce(work, d, None)
+        return {k: _ratio(v, d) for k, v in work.items()}
+
+
 class UnprunedSaturation:
     """A T-ideal component saturated from every streamed generator.
 
@@ -172,7 +261,8 @@ class UnprunedSaturation:
         self.acc = EchelonAccumulator(len(self.ambient))
         self.descriptors = {}  # insertion id -> descriptor, rank-raising only
         seen = set()
-        for poly, desc in consequence_generators(variety, multidegree):
+        for desc in consequence_generators(variety, multidegree):
+            poly = expand_descriptor(variety, desc)
             vec = {index[w]: c for w, c in poly.terms.items()}
             key = frozenset(vec.items())
             if key in seen:

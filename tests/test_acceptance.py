@@ -13,7 +13,7 @@ from skewalg.config import Config
 from skewalg.family import basea_count, fm
 from skewalg.rationals import QQ
 from skewalg.variety import (ComponentSpace, builtin_variety,
-                             consequence_generators)
+                             consequence_generators, expand_descriptor)
 from skewalg.verify import verify
 
 
@@ -88,7 +88,8 @@ def _dense_skew_dim(d, config):
     md = {i: 1 for i in range(1, d + 1)}
     alt = builtin_variety("alt")
     space = ComponentSpace(alt, md, config)
-    gens = [space.vec(p) for p, _ in consequence_generators(alt, md)]
+    gens = [space.vec(expand_descriptor(alt, d))
+            for d in consequence_generators(alt, md)]
     images = []
     for shape in _shapes(d):
         images.append(space.vec(alternate(MultiPoly.monomial(shape))))
@@ -141,7 +142,8 @@ def test_criterion_9_engine_soundness(config):
     alt = builtin_variety("alt")
     md = {1: 1, 2: 1, 3: 1}
     space = ComponentSpace(alt, md, config)
-    vecs = [space.vec(p) for p, _ in consequence_generators(alt, md)]
+    vecs = [space.vec(expand_descriptor(alt, d))
+            for d in consequence_generators(alt, md)]
     ok = ok and (12 - dense_rank(vecs, 12)) == 7
     _line(9, ok, "dims n! (n<=5) and alt (1,1,1)=7 incl. dense oracle; "
                  "200 certificate re-expansions; 20x10 shuffle stability", t0)

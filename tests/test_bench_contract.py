@@ -6,7 +6,9 @@ startup here makes a rename or deletion of a traced name fail the tests
 instead of the benchmark.  The tracer also counts streamed generators
 through the wrapped consequence_generators and echelon writes through
 insert_reduce; a saturation that stopped going through either would read
-zero on those counters, so one is run and its counts checked.  In the same
+zero on those counters, so one is run and its counts checked, together
+with the per-layer readings of its provenance and rows, so that a layout
+the tracer cannot read fails here instead of skewing those metrics.  In the same
 way skew must call alternate through the module, and fm must recurse
 through its module-level name, or the per-layer term counts would miss
 the nested calls.
@@ -38,13 +40,24 @@ def test_tracer_counts_a_saturation():
     out = _run_traced(
         "tr = tracing.Tracer()\n"
         "tracing.install(tr)\n"
-        "tr.enabled = True\n"
         "from skewalg import variety\n"
-        "space = variety.component_space(variety.builtin_variety('alt'), {1: 1, 2: 1, 3: 1})\n"
+        "alt, md = variety.builtin_variety('alt'), {1: 1, 2: 1, 3: 1}\n"
+        # an untraced saturation fills the slot-orbit memo, whose throwaway
+        # accumulators the tracer would otherwise count too
+        "variety.ComponentSpace(alt, md).saturate()\n"
+        "tr.enabled = True\n"
+        "space = variety.component_space(alt, md)\n"
         "space.saturate()\n"
-        "print(tr.streamed, tr.acc_calls.get(space.acc, 0), space.acc.rank)\n")
-    streamed, inserts, rank = map(int, out.split())
+        "m = tracing.per_layer_metrics(tr, 0.0)\n"
+        "print(tr.streamed, tr.acc_calls.get(space.acc, 0), space.acc.rank)\n"
+        "print(m['linalg.provenance_nnz'], m['linalg.max_coeff_bits'],\n"
+        "      sum(len(p) for p in space.acc.provenance.values()))\n")
+    counts, layers = out.splitlines()
+    streamed, inserts, rank = map(int, counts.split())
     assert streamed >= inserts >= rank > 0
+    provenance_nnz, max_coeff_bits, stored = map(int, layers.split())
+    assert provenance_nnz == stored > 0
+    assert max_coeff_bits >= 1
 
 
 def test_tracer_counts_nested_term_builders():

@@ -12,7 +12,8 @@ from skewalg.family import (BaseDescriptor, SuperWord, associative_projection,
 from skewalg.poly import MultiPoly, commutator, parse_poly
 from skewalg.rationals import QQ
 from skewalg.symmetrize import collapse, is_skew_symmetric, skew
-from skewalg.variety import ComponentSpace, builtin_variety, consequence_generators
+from skewalg.variety import (ComponentSpace, builtin_variety, consequence_generators,
+                             expand_descriptor)
 
 
 def test_fm_base_cases():
@@ -211,7 +212,8 @@ def test_alpha4_against_dense_oracle(config):
     md = {i: 1 for i in range(1, 5)}
     space = ComponentSpace(alt, md, config)
     rows = [space.vec(skew(x_bracket(4).poly))]
-    rows += [space.vec(p) for p, _ in consequence_generators(alt, md)]
+    rows += [space.vec(expand_descriptor(alt, d))
+             for d in consequence_generators(alt, md)]
     coeffs = dense_express(rows, space.vec(fm(4)), len(space.ambient))
     assert coeffs is not None
     assert coeffs.get(0) == QQ(1, 2)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import EagerProvenanceEchelon, dense_express, dense_rank
+from oracles import DictSweepEchelon, EagerProvenanceEchelon, dense_express, dense_rank
 from skewalg.linalg import EchelonAccumulator
 from skewalg.rationals import QQ
 from skewalg.variety import ComponentSpace, builtin_variety
@@ -179,6 +179,61 @@ def test_saturated_alt_component_rows_are_integers():
     assert all(type(v) is int for row in space.acc.rows.values() for v in row.values())
 
 
+def test_saturated_alt_component_provenance_is_integer():
+    space = ComponentSpace(builtin_variety("alt"), {1: 1, 2: 1, 3: 1, 4: 1})
+    space.saturate()
+    acc = space.acc
+    assert any(acc.provenance.values())
+    assert all(type(m) is int for prov in acc.provenance.values() for m in prov.values())
+    assert all(type(d) is int and type(lead) is int
+               for _, d, lead in acc.pivot_source.values())
+
+
+@pytest.mark.parametrize("name, degree", [("alt", (1, 1, 1, 1)), ("flex", (2, 1, 1)),
+                                          ("flex", (2, 1, 1, 1)),
+                                          ("ncj_cor1", (2, 1, 1))])
+def test_dense_sweep_matches_dict_sweep_oracle(name, degree):
+    space = ComponentSpace(builtin_variety(name),
+                           {i + 1: e for i, e in enumerate(degree)})
+    inserted = []
+    insert = space.acc.insert_reduce
+
+    def record(vec):
+        inserted.append(dict(vec))
+        return insert(vec)
+
+    space.acc.insert_reduce = record
+    space.saturate()
+    acc, oracle = space.acc, DictSweepEchelon()
+    for v in inserted:
+        oracle.insert_reduce(v)
+    assert acc.rows == oracle.rows
+    assert list(acc.rows) == list(oracle.rows)  # pivots in the same order
+    for pivot, (ins_id, d, lead) in acc.pivot_source.items():
+        assert (ins_id, QQ(d, lead)) == oracle.pivot_source[pivot]
+        assert ({k: QQ(m, d) for k, m in acc.provenance[pivot].items()}
+                == oracle.provenance[pivot])
+    assert acc.pivot_source.keys() == oracle.pivot_source.keys()
+
+    # residuals held over the first half of the insertions and re-reduced
+    # after the second half, and fresh residuals, against the oracle's
+    rng = random.Random(f"sweep-{name}-{degree}")
+    dim = len(space.ambient)
+    vecs = _random_vecs(rng, dim, 10) + [
+        {k: QQ(rng.randint(-3, 3), rng.randint(1, 3)) for k in v} for v in inserted[:5]]
+    half = EchelonAccumulator(dim)
+    for v in inserted[:len(inserted) // 2]:
+        half.insert_reduce(v)
+    held = [half.residual(v) for v in vecs]
+    for v in inserted[len(inserted) // 2:]:
+        half.insert_reduce(v)
+    for v, r in zip(vecs, held):
+        expected = oracle.residual(v)
+        assert acc.residual(v) == expected
+        half.rereduce(r)
+        assert r == expected
+
+
 def test_explicit_zero_entries_are_ignored():
     acc = EchelonAccumulator(3)
     assert acc.insert_reduce({0: 0, 1: 1}) is True
@@ -211,6 +266,26 @@ def _vector_sets(draw):
     return dim, vecs, target
 
 
+@settings(max_examples=200, deadline=None)
+@given(_vector_sets())
+# column 2 cancels when pivot 0 is eliminated and comes back with pivot 1;
+# pivot 3 then has lead 2, so the work vector is scaled, column 2 once
+@example((5, [{0: QQ(1), 2: QQ(1)}, {1: QQ(1), 2: QQ(-1)}, {3: QQ(2), 4: QQ(1)},
+              {0: QQ(1), 1: QQ(1), 2: QQ(1), 3: QQ(1)}],
+          {0: QQ(1), 1: QQ(1), 2: QQ(1), 3: QQ(1)}))
+def test_dense_sweep_matches_dict_sweep_oracle_on_random_vectors(case):
+    dim, vecs, target = case
+    acc, oracle = EchelonAccumulator(dim), DictSweepEchelon()
+    for v in vecs:
+        assert acc.insert_reduce(v) == oracle.insert_reduce(v)
+        assert acc.residual(target) == oracle.residual(target)
+    assert acc.rows == oracle.rows
+    for pivot, (ins_id, d, lead) in acc.pivot_source.items():
+        assert (ins_id, QQ(d, lead)) == oracle.pivot_source[pivot]
+        assert ({k: QQ(m, d) for k, m in acc.provenance[pivot].items()}
+                == oracle.provenance[pivot])
+
+
 @settings(max_examples=300, deadline=None)
 @given(_vector_sets())
 # a lead of 2 met by odd entries scaled from 1/2 and 1/4: both the lcm entry scaling
@@ -226,6 +301,17 @@ def _vector_sets(draw):
 # multiplier w/d = 2/6 is formed only by express_in_span
 @example((2, [{0: QQ(2), 1: QQ(1)}, {0: QQ(1, 3), 1: QQ(1, 6)}],
           {0: QQ(1, 3), 1: QQ(1, 6)}))
+# a raw lead of 2 whose remainder has content 2: the stored row is (1, 2)
+# and the pivot keeps (d, L) = (1, 2)
+@example((2, [{0: QQ(2), 1: QQ(4)}], {0: QQ(2), 1: QQ(4)}))
+# the newest pivot's lead divides its weight, the older pivot's lead 2 does
+# not: the common denominator grows partway through the back-substitution
+# and the coefficient already settled is rescaled with it
+@example((3, [{0: QQ(2), 1: QQ(2)}, {1: QQ(1), 2: QQ(1)}], {0: QQ(1), 2: QQ(-1)}))
+# a negative raw lead -2 after one elimination, and the target
+# (v0 + v1) / 2, whose weight -1 on that pivot the lead does not divide
+@example((3, [{0: QQ(1), 1: QQ(1)}, {0: QQ(1), 1: QQ(-1), 2: QQ(2)}],
+          {0: QQ(1), 2: QQ(1)}))
 def test_deferred_provenance_matches_eager_oracle(case):
     dim, vecs, target = case
     acc = EchelonAccumulator(dim)

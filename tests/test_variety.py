@@ -8,6 +8,7 @@ from oracles import EagerProvenanceEchelon, UnprunedSaturation, dense_rank
 from skewalg.config import Config, ResourceLimitError
 from skewalg.poly import (MultiPoly, commutator, jordan, multiply, parse_poly,
                           substitute)
+from skewalg.rationals import QQ
 from skewalg.symmetrize import linearize
 from skewalg import variety
 from skewalg.variety import (ComponentSpace, GenDescriptor, MembershipCertificate,
@@ -23,6 +24,11 @@ ASSOC = builtin_variety("assoc")
 
 def md(*exps):
     return {i + 1: e for i, e in enumerate(exps)}
+
+
+def _generators(variety, degree):
+    """The streamed generators' polynomials, in stream order."""
+    return [expand_descriptor(variety, d) for d in consequence_generators(variety, degree)]
 
 
 def test_builtin_varieties():
@@ -68,13 +74,15 @@ def test_generator_counts():
     assert sum(1 for _ in consequence_generators(ASSOC, md(1, 1, 1))) == 6
     assert sum(1 for _ in consequence_generators(FLEX, md(2, 1))) == 3
     # descriptors are pairwise distinct
-    descs = [d for _, d in consequence_generators(ALT, md(1, 1, 1))]
+    descs = list(consequence_generators(ALT, md(1, 1, 1)))
     assert len(set(descs)) == 12
 
 
 def test_generator_stream_deterministic():
-    a = [(format_gen(d), str(p)) for p, d in consequence_generators(FLEX, md(2, 1))]
-    b = [(format_gen(d), str(p)) for p, d in consequence_generators(FLEX, md(2, 1))]
+    a = [(format_gen(d), str(expand_descriptor(FLEX, d)))
+         for d in consequence_generators(FLEX, md(2, 1))]
+    b = [(format_gen(d), str(expand_descriptor(FLEX, d)))
+         for d in consequence_generators(FLEX, md(2, 1))]
     assert a == b
 
 
@@ -84,7 +92,7 @@ def format_gen(desc):
 
 def test_generators_have_the_right_multidegree():
     target = md(2, 1, 1)
-    for poly, _ in consequence_generators(ALT, target):
+    for poly in _generators(ALT, target):
         if poly.is_zero():
             continue
         for w in poly.terms:
@@ -92,8 +100,13 @@ def test_generators_have_the_right_multidegree():
 
 
 def test_expansion_matches_descriptor():
-    for poly, desc in consequence_generators(FLEX, md(2, 1)):
-        assert expand_descriptor(FLEX, desc) == poly
+    # the same generator by polynomial substitution: slot words into the
+    # identity, then the result into the context's hole
+    f = FLEX.identities[0]
+    for desc in consequence_generators(FLEX, md(2, 1)):
+        slots = {i + 1: MultiPoly.monomial(w) for i, w in enumerate(desc.substitution)}
+        expected = substitute(MultiPoly.monomial(desc.context), {HOLE: substitute(f, slots)})
+        assert expand_descriptor(FLEX, desc) == expected
 
 
 def test_dimensions():
@@ -104,7 +117,7 @@ def test_dimensions():
 
 def test_alt_dimension_against_dense_oracle():
     space = ComponentSpace(ALT, md(1, 1, 1))
-    vecs = [space.vec(p) for p, _ in consequence_generators(ALT, md(1, 1, 1))]
+    vecs = [space.vec(p) for p in _generators(ALT, md(1, 1, 1))]
     assert dense_rank(vecs, len(space.ambient)) == 12 - 7
     space.saturate()
     assert space.acc.rank == 5
@@ -121,7 +134,7 @@ def test_monotonicity_more_identities_never_raise_dimension():
 
 def test_self_membership_of_generators():
     for variety, degree in [(ALT, md(1, 1, 1)), (FLEX, md(2, 1)), (ASSOC, md(1, 1, 1))]:
-        for poly, _ in consequence_generators(variety, degree):
+        for poly in _generators(variety, degree):
             result = is_member(poly, variety)
             assert result.member
             for cert in result.certificates:
@@ -171,6 +184,37 @@ def test_recheck_rejects_malformed_descriptor(desc):
     assert not cert.recheck(FLEX)
 
 
+def test_recheck_sums_rational_coefficients():
+    descs = list(consequence_generators(ALT, md(1, 1, 1)))[:3]
+    coeffs = [QQ(1, 2), QQ(1, 3), QQ(-5, 6)]
+    target = MultiPoly.zero()
+    for desc, c in zip(descs, coeffs):
+        target = target + expand_descriptor(ALT, desc).scale(c)
+    assert any(QQ(c).denominator > 1 for c in target.terms.values())
+    cert = MembershipCertificate(target, "alt", md(1, 1, 1), list(zip(descs, coeffs)))
+    assert cert.recheck(ALT)
+    for i in range(3):
+        off = [c + QQ(1, 6) if j == i else c for j, c in enumerate(coeffs)]
+        assert not MembershipCertificate(target, "alt", md(1, 1, 1),
+                                         list(zip(descs, off))).recheck(ALT)
+
+
+def test_recheck_integer_coefficients_rational_target():
+    desc = next(consequence_generators(ALT, md(1, 1, 1)))
+    g = expand_descriptor(ALT, desc)
+    half = MembershipCertificate(g.scale(QQ(1, 2)), "alt", md(1, 1, 1), [(desc, QQ(1, 2))])
+    assert half.recheck(ALT)
+    assert not MembershipCertificate(g.scale(QQ(1, 2)), "alt", md(1, 1, 1),
+                                     [(desc, 1)]).recheck(ALT)
+
+
+def test_recheck_empty_certificate():
+    zero = MembershipCertificate(MultiPoly.zero(), "alt", md(1, 1, 1), [])
+    assert zero.recheck(ALT)
+    nonzero = MembershipCertificate(ALT.identities[0], "alt", md(1, 1, 1), [])
+    assert not nonzero.recheck(ALT)
+
+
 def test_recheck_rejects_short_substitution_from_json():
     f = FLEX.identities[0]
     cert = MembershipCertificate(f, "flex", md(1, 1, 1),
@@ -197,7 +241,7 @@ def test_zero_membership():
 def test_membership_splits_components():
     x, y = MultiPoly.variable(1), MultiPoly.variable(2)
     eq1 = commutator(multiply(x, x), y) - jordan(x, commutator(x, y))
-    gen3 = next(consequence_generators(FLEX, md(1, 1, 1)))[0]
+    gen3 = expand_descriptor(FLEX, next(consequence_generators(FLEX, md(1, 1, 1))))
     combined = eq1 + gen3
     result = is_member(combined, FLEX)
     assert result.member
@@ -312,7 +356,7 @@ def test_dimensions_against_dense_oracle_random_components():
     for variety in (ALT, FLEX, ASSOC):
         for degree in rng.sample(layouts, 4):
             space = ComponentSpace(variety, degree)
-            vecs = [space.vec(p) for p, _ in consequence_generators(variety, degree)]
+            vecs = [space.vec(p) for p in _generators(variety, degree)]
             expected = len(space.ambient) - dense_rank(vecs, len(space.ambient))
             assert component_dimension(variety, degree) == expected
 
@@ -328,7 +372,7 @@ def test_membership_certificates_match_eager_oracle(variety, degree):
         return insert(vec)
 
     space.acc.insert_reduce = record
-    gens = [p for p, _ in consequence_generators(variety, degree)]
+    gens = _generators(variety, degree)
     rng = random.Random(61)
     for _ in range(8):
         target = MultiPoly.zero()
@@ -349,7 +393,7 @@ def test_membership_certificates_match_eager_oracle(variety, degree):
 
 def _pivots_in_order(acc, descriptors):
     """(pivot column, descriptor) per rank-raising insertion, oldest first."""
-    by_id = sorted((ins_id, p) for p, (ins_id, _) in acc.pivot_source.items())
+    by_id = sorted((source[0], p) for p, source in acc.pivot_source.items())
     return [(p, descriptors[ins_id]) for ins_id, p in by_id]
 
 
@@ -367,12 +411,12 @@ def test_slot_orbit_pruning_matches_unpruned_saturation(name):
         acc = space.acc
         assert acc.rows == oracle.acc.rows
         assert acc.provenance == oracle.acc.provenance
-        assert ({p: inv for p, (_, inv) in acc.pivot_source.items()}
-                == {p: inv for p, (_, inv) in oracle.acc.pivot_source.items()})
+        assert ({p: (d, lead) for p, (_, d, lead) in acc.pivot_source.items()}
+                == {p: (d, lead) for p, (_, d, lead) in oracle.acc.pivot_source.items()})
         assert (_pivots_in_order(acc, space._descriptors)
                 == _pivots_in_order(oracle.acc, oracle.descriptors))
         assert acc.n_inserted <= oracle.acc.n_inserted
-        gens = [p for p, _ in consequence_generators(variety_, degree)]
+        gens = _generators(variety_, degree)
         for _ in range(4):
             target = MultiPoly.zero()
             for p in rng.sample(gens, min(len(gens), rng.randint(1, 4))):
