@@ -172,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, metavar="N",
                         help="seed for sampled checks")
     common.add_argument("--cert-dir", metavar="DIR",
-                        help="directory for certificate files")
+                        help="directory for certificate files (default: write none)")
     ap = argparse.ArgumentParser(
         prog="skewalg",
         allow_abbrev=False,

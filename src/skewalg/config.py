@@ -26,7 +26,7 @@ class Config:
     max_ambient_dimension: int = 6000
     max_generators: int = 2_000_000
     output_format: str = "text"
-    certificate_directory: str = "certificates"
+    certificate_directory: str | None = None  # None: write no certificate files
     random_seed: int = 271828
 
     def __post_init__(self):
@@ -41,7 +41,7 @@ class Config:
         for f in fields(cls):
             env = os.environ.get(f"SKEWALG_{f.name.upper()}")
             if env is not None:
-                kwargs[f.name] = f.type(env) if f.type is not str else env
+                kwargs[f.name] = int(env) if f.type is int else env
         kwargs.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**kwargs)
 

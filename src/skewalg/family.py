@@ -160,11 +160,16 @@ class BaseDescriptor:
         if self.family == "power":
             if self.m + self.sigma < 1:
                 raise ValueError("power family needs m + sigma >= 1")
+            if self.k != 0:
+                raise ValueError("power family takes no k")
         else:
             if self.k < 1:
                 raise ValueError("k must be >= 1")
-        if self.family in ("u_family", "z_family") and self.eps not in (0, 1):
-            raise ValueError("eps must be 0 or 1")
+        if self.family in ("u_family", "z_family"):
+            if self.eps not in (0, 1):
+                raise ValueError("eps must be 0 or 1")
+        elif self.eps != 0:
+            raise ValueError(f"{self.family} family takes no eps")
 
     @property
     def degree(self) -> int:

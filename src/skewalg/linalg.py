@@ -49,7 +49,7 @@ import heapq
 from collections import namedtuple
 from math import gcd, lcm
 
-from .rationals import qq_div
+from .rationals import QQ
 
 SpanResult = namedtuple("SpanResult", "coefficients witness")
 """coefficients: {insertion id -> coefficient} when in span, else None;
@@ -58,7 +58,7 @@ witness: leading column of the nonzero remainder, else None."""
 
 def _ratio(n: int, d: int):
     """Exact n/d: an int when d divides n, else QQ."""
-    return n // d if n % d == 0 else qq_div(n, d)
+    return n // d if n % d == 0 else QQ(n, d)
 
 
 def _to_integers(vec: dict):
@@ -66,8 +66,8 @@ def _to_integers(vec: dict):
 
     d is the lcm of the denominators; zero entries are dropped.
     """
-    d = lcm(*(int(v.denominator) for v in vec.values()))
-    return {k: int(v.numerator) * (d // int(v.denominator))
+    d = lcm(*(v.denominator for v in vec.values()))
+    return {k: v.numerator * (d // v.denominator)
             for k, v in vec.items() if v}, d
 
 

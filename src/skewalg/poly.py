@@ -21,7 +21,7 @@ import gc
 import re
 from contextlib import contextmanager
 
-from .rationals import QQ, qq_str
+from .rationals import QQ
 from .words import HOLE, format_word, md_key, multidegree_of, relabel, sort_key
 
 
@@ -350,12 +350,11 @@ def format_poly(p: MultiPoly) -> str:
         return "0"
     parts = []
     for idx, (w, c) in enumerate(p.items()):
-        c = QQ(c)
         mag = c if c > 0 else -c
-        coeff = "" if mag == 1 else f"{qq_str(mag)}*"
+        coeff = "" if mag == 1 else f"{mag}*"
         body = f"{coeff}{format_word(w)}"
         if idx == 0:
-            parts.append(body if c > 0 else f"-{qq_str(mag)}*{format_word(w)}")
+            parts.append(body if c > 0 else f"-{mag}*{format_word(w)}")
         else:
             parts.append(f"{'+' if c > 0 else '-'} {body}")
     return " ".join(parts)

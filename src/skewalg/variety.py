@@ -21,17 +21,16 @@ rows, pivots, provenance and certificates stay the same, and the
 rank-raising insertions keep their order.
 """
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import lcm
 
-from .config import DEFAULT_CONFIG, ResourceLimitError
+from .config import DEFAULT_CONFIG, Config, ResourceLimitError
 from .linalg import EchelonAccumulator
 from .poly import (MultiPoly, associator, commutator, format_poly, multiply,
                    parse_poly, parse_word, relabel_poly)
-from .rationals import QQ, qq_str
+from .rationals import QQ
 from .symmetrize import linearize
 from .words import (HOLE, enumerate_words, format_word, md_key, multidegree_of,
                     relabel, word_count)
@@ -51,9 +50,6 @@ class Variety:
             (md,) = f.multidegrees()
             if [v for v, _ in md] != list(range(1, len(md) + 1)):
                 raise ValueError(f"identity {format_poly(f)} must use exactly x1..xk")
-
-    def fingerprint(self):
-        return (self.name, tuple(format_poly(f) for f in self.identities))
 
 
 def _x(i):
@@ -239,7 +235,7 @@ class MembershipCertificate:
             "variety": self.variety_name,
             "multidegree": {f"x{v}": e for v, e in sorted(self.multidegree.items())},
             "generators": [
-                {**desc.to_json(texts[desc.identity_index]), "coefficient": qq_str(c)}
+                {**desc.to_json(texts[desc.identity_index]), "coefficient": str(c)}
                 for desc, c in self.entries
             ],
         }
@@ -263,8 +259,8 @@ class MembershipCertificate:
                 return False
         # sum in integers: scale the coefficients, and the target, by the
         # lcm of the coefficient denominators
-        den = lcm(*(int(c.denominator) for _, c in self.entries))
-        scaled = [(desc, int(c.numerator) * (den // int(c.denominator)))
+        den = lcm(*(c.denominator for _, c in self.entries))
+        scaled = [(desc, c.numerator * (den // c.denominator))
                   for desc, c in self.entries]
         return MultiPoly.from_pairs(
             (w, n * cw) for desc, n in scaled
@@ -394,29 +390,24 @@ class ComponentSpace:
                                      entries), None
 
 
-_SPACE_CACHE = OrderedDict()  # key -> ComponentSpace, least recently used first
-_SPACE_CACHE_SIZE = 32  # verify --all-desk uses 16 components, a bench session at most 8
+@lru_cache(maxsize=32)  # verify --all-desk uses 16 components, a bench session at most 8
+def _cached_space(variety: Variety, md: tuple, max_ambient_dimension: int,
+                  max_generators: int) -> ComponentSpace:
+    # a space reads nothing of its config but the limits
+    limits = Config(max_ambient_dimension=max_ambient_dimension, max_generators=max_generators)
+    return ComponentSpace(variety, dict(md), limits)
 
 
 def component_space(variety: Variety, multidegree: dict,
                     config=DEFAULT_CONFIG) -> ComponentSpace:
     """Session cache: membership, dimension and decomposition checks at the
-    same component share one echelon.  It keeps the _SPACE_CACHE_SIZE most
-    recently used components."""
-    key = (variety.fingerprint(), md_key(multidegree),
-           config.max_ambient_dimension, config.max_generators)
-    space = _SPACE_CACHE.get(key)
-    if space is None:
-        space = _SPACE_CACHE[key] = ComponentSpace(variety, multidegree, config)
-        if len(_SPACE_CACHE) > _SPACE_CACHE_SIZE:
-            _SPACE_CACHE.popitem(last=False)
-    else:
-        _SPACE_CACHE.move_to_end(key)
-    return space
+    same component share one echelon.  It keeps the 32 most recently used
+    components."""
+    return _cached_space(variety, md_key(multidegree), config.max_ambient_dimension,
+                         config.max_generators)
 
 
-def clear_space_cache():
-    _SPACE_CACHE.clear()
+clear_space_cache = _cached_space.cache_clear
 
 
 def component_dimension(variety: Variety, multidegree: dict,

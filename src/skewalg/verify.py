@@ -4,7 +4,8 @@ Each check ties one claim to a computation.  Verdicts are three-valued:
 pass and fail are mathematical outcomes, resource_limit means a configured
 bound stopped the computation before an answer existed; the two must never
 be conflated.  Reports are plain data and serialize to JSON; membership
-certificates are written as separate JSON files referenced by path.
+certificates are written as separate JSON files referenced by path, when
+the config names a certificate directory.
 """
 
 import json
@@ -22,7 +23,6 @@ from .family import (associative_projection, base_element, basea_count,
 from .linalg import EchelonAccumulator
 from .poly import (MultiPoly, add_terms, commutator, jordan, multiply, relabel_poly,
                    substitute)
-from .rationals import qq_str
 from .symmetrize import collapse, is_skew_symmetric, skew
 from .variety import (builtin_variety, component_dimension, component_space,
                       consequence_generators, expand_descriptor, is_member)
@@ -166,6 +166,8 @@ def _evaluate_associative(proj: dict, words: tuple) -> dict:
 
 def _cor2_body(m: int, degree_bound: int, config):
     """Evaluate fm(m)'s associative image on m-subsets of two-letter words."""
+    if degree_bound < 2:  # the 2 one-letter words cannot fill an m-subset
+        raise ValueError(f"degree_bound must be >= 2, got {degree_bound}")
     proj = associative_projection(fm(m))
     small = _binary_words(2)
     full_failures = sum(
@@ -240,8 +242,8 @@ def check_lemma3(params, config):
     details = {"m": m, "status": result.status}
     if result.status != "ok":
         return "fail", details, []
-    details["alpha"] = qq_str(result.alpha)
-    details["beta"] = qq_str(result.beta) if result.beta is not None else None
+    details["alpha"] = str(result.alpha)
+    details["beta"] = str(result.beta) if result.beta is not None else None
     details["beta_free"] = result.beta_free
     if not result.alpha:
         details["error"] = "alpha vanished"
@@ -291,8 +293,8 @@ def check_eq6(params, config):
         details["error"] = "no (lambda, nu) combination exists"
         return "fail", details, []
     lam = coeffs.get(0, 0)
-    details["lambda"] = qq_str(lam)
-    details["nu"] = qq_str(coeffs.get(1, 0))
+    details["lambda"] = str(lam)
+    details["nu"] = str(coeffs.get(1, 0))
     if not lam:
         details["error"] = "lambda vanished"
         return "fail", details, []
@@ -432,7 +434,7 @@ DESK_SUITE = (
 
 
 def _write_certificates(check, params, cert_pairs, config):
-    if not cert_pairs:
+    if not cert_pairs or config.certificate_directory is None:
         return []
     os.makedirs(config.certificate_directory, exist_ok=True)
     tag = "_".join(f"{k}{v}" for k, v in sorted(params.items())) or "run"

@@ -23,7 +23,7 @@ from math import gcd, lcm
 
 from skewalg.linalg import EchelonAccumulator
 from skewalg.poly import MultiPoly, add_terms, commutator, substitute
-from skewalg.rationals import qq_div
+from skewalg.rationals import QQ
 from skewalg.variety import consequence_generators, expand_descriptor
 from skewalg.words import enumerate_words, relabel
 
@@ -164,7 +164,7 @@ class EagerProvenanceEchelon:
 
 
 def _ratio(n, d):
-    return n // d if n % d == 0 else qq_div(n, d)
+    return n // d if n % d == 0 else QQ(n, d)
 
 
 class DictSweepEchelon:
@@ -186,8 +186,8 @@ class DictSweepEchelon:
 
     @staticmethod
     def _to_integers(vec):
-        d = lcm(*(int(v.denominator) for v in vec.values()))
-        return {k: int(v.numerator) * (d // int(v.denominator))
+        d = lcm(*(v.denominator for v in vec.values()))
+        return {k: v.numerator * (d // v.denominator)
                 for k, v in vec.items() if v}, d
 
     def _reduce(self, work, d, combo):

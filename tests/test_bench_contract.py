@@ -11,7 +11,8 @@ with the per-layer readings of its provenance and rows, so that a layout
 the tracer cannot read fails here instead of skewing those metrics.  In the same
 way skew must call alternate through the module, and fm must recurse
 through its module-level name, or the per-layer term counts would miss
-the nested calls.
+the nested calls.  A second component_space call on the same component
+must return the cached space, or variety.cache_hit_ratio would read 0.
 """
 
 import os
@@ -58,6 +59,18 @@ def test_tracer_counts_a_saturation():
     provenance_nnz, max_coeff_bits, stored = map(int, layers.split())
     assert provenance_nnz == stored > 0
     assert max_coeff_bits >= 1
+
+
+def test_tracer_counts_a_cache_hit():
+    out = _run_traced(
+        "tr = tracing.Tracer()\n"
+        "tracing.install(tr)\n"
+        "tr.enabled = True\n"
+        "from skewalg import variety\n"
+        "first = variety.component_space(variety.builtin_variety('alt'), {1: 1, 2: 1})\n"
+        "again = variety.component_space(variety.builtin_variety('alt'), {2: 1, 1: 1})\n"
+        "print(tr.space_calls, tr.space_hits, first is again)\n")
+    assert out.split() == ["2", "1", "True"]
 
 
 def test_tracer_counts_nested_term_builders():

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from skewalg.cli import main
+from skewalg.config import Config
 
 
 def run(capsys, *argv):
@@ -161,6 +162,25 @@ def test_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SKEWALG_MAX_AMBIENT_DIMENSION", "50")
     code, out, _ = run(capsys, "dim", "--variety", "alt", "--multideg", "1,1,1")
     assert code == 0 and out.strip() == "7"
+
+
+def test_env_certificate_directory(tmp_path, capsys, monkeypatch):
+    certs = tmp_path / "env-certs"
+    monkeypatch.setenv("SKEWALG_CERTIFICATE_DIRECTORY", str(certs))
+    assert Config.from_env().certificate_directory == str(certs)
+    code, out, _ = run(capsys, "--format", "json", "verify", "eq1")
+    assert code == 0
+    assert [p.parent for p in map(Path, json.loads(out)["certificates"])] == [certs]
+    monkeypatch.delenv("SKEWALG_CERTIFICATE_DIRECTORY")
+    assert Config.from_env().certificate_directory is None
+
+
+@pytest.mark.parametrize("check", ["cor2_assoc", "cor2_assoc_probe"])
+def test_cor2_degree_bound_below_two_is_usage(check, capsys):
+    code, _, err = run(capsys, "verify", check, "--degree-bound", "1")
+    assert code == 2 and "degree_bound" in err
+    code, out, _ = run(capsys, "verify", check, "--degree-bound", "2")
+    assert code == 0 and out.startswith("pass")
 
 
 def test_custom_variety_flow(tmp_path, capsys):

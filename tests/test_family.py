@@ -138,6 +138,36 @@ def test_base_descriptor_validation():
         BaseDescriptor("bracket", m=1, k=0)
     with pytest.raises(ValueError):
         BaseDescriptor("tower", m=1)
+    # parameters a family ignores would give one element several descriptors
+    for family, kwargs in (("power", {"m": 1, "k": 5}), ("power", {"m": 1, "eps": 9}),
+                           ("power", {"sigma": 1, "eps": 1}),
+                           ("bracket", {"k": 1, "eps": 1}),
+                           ("u_family", {"k": 1, "eps": 2}),
+                           ("z_family", {"k": 1, "eps": -1})):
+        with pytest.raises(ValueError):
+            BaseDescriptor(family, **kwargs)
+
+
+def test_base_descriptors_unchanged_by_validation():
+    # the catalogue sets only the parameters each family reads, so it builds as before
+    labels = [[desc.label() for desc in base_descriptors(d)] for d in range(1, 11)]
+    assert labels == [
+        ["x"],
+        ["t"],
+        ["t*x", "x[3]"],
+        ["t^2", "x[4]", "(x[3]*x)"],
+        ["t^2*x", "t*x[3]", "x[5]", "(x[4]*x)"],
+        ["t^3", "t*x[4]", "x[6]", "t*(x[3]*x)", "(x[5]*x)", "z[4]"],
+        ["t^3*x", "t^2*x[3]", "t*x[5]", "x[7]", "t*(x[4]*x)", "(x[6]*x)", "u[4]", "z[5]",
+         "(z[4]*x)"],
+        ["t^4", "t^2*x[4]", "t*x[6]", "x[8]", "t^2*(x[3]*x)", "t*(x[5]*x)", "(x[7]*x)",
+         "u[5]", "(u[4]*x)", "t*z[4]", "(z[5]*x)"],
+        ["t^4*x", "t^3*x[3]", "t^2*x[5]", "t*x[7]", "x[9]", "t^2*(x[4]*x)", "t*(x[6]*x)",
+         "(x[8]*x)", "t*u[4]", "(u[5]*x)", "t*z[5]", "t*(z[4]*x)"],
+        ["t^5", "t^3*x[4]", "t^2*x[6]", "t*x[8]", "x[10]", "t^3*(x[3]*x)", "t^2*(x[5]*x)",
+         "t*(x[7]*x)", "(x[9]*x)", "t*u[5]", "t*(u[4]*x)", "t^2*z[4]", "z[8]",
+         "t*(z[5]*x)"],
+    ]
 
 
 def test_basea_counts():

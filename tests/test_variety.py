@@ -318,17 +318,19 @@ def test_component_space_cache_and_membership_reuse(config):
     assert s1 is s2
 
 
-def test_component_space_cache_evicts_least_recently_used(config, monkeypatch):
-    monkeypatch.setattr(variety, "_SPACE_CACHE", type(variety._SPACE_CACHE)())
-    cap = variety._SPACE_CACHE_SIZE
+def test_component_space_cache_evicts_least_recently_used(config):
+    variety.clear_space_cache()
+    cap = variety._cached_space.cache_info().maxsize
     # max_generators is part of the key, so each value is its own entry
     configs = [replace(config, max_generators=1000 + i) for i in range(cap + 1)]
     spaces = [component_space(FLEX, md(1, 1), c) for c in configs[:cap]]
     assert component_space(FLEX, md(1, 1), configs[0]) is spaces[0]  # a hit refreshes
     component_space(FLEX, md(1, 1), configs[cap])
-    assert len(variety._SPACE_CACHE) == cap
+    assert variety._cached_space.cache_info().currsize == cap
     assert component_space(FLEX, md(1, 1), configs[0]) is spaces[0]
     assert component_space(FLEX, md(1, 1), configs[1]) is not spaces[1]  # was evicted
+    variety.clear_space_cache()
+    assert variety._cached_space.cache_info().currsize == 0
 
 
 def test_certificates_are_canonical_under_extra_rows():

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from skewalg.config import Config
 from skewalg.poly import MultiPoly
 from skewalg.variety import MembershipCertificate, builtin_variety
 from skewalg.verify import CHECKS, DESK_SUITE, Report, verify
@@ -49,6 +50,14 @@ def test_eq1_writes_certificate_file(config):
     doc = json.loads(open(path).read())
     cert = MembershipCertificate.from_json(doc)
     assert cert.recheck(builtin_variety("flex"))
+
+
+def test_no_certificate_directory_writes_nothing(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    r = verify("eq1", {}, Config())
+    assert r.verdict == "pass" and r.details["generators_used"] > 0
+    assert r.certificates == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_probe_reports_without_asserting(config):
