@@ -3,6 +3,8 @@
 Exit codes: 0 success/pass, 1 mathematical fail (a claim did not hold or a
 polynomial is not a member), 2 usage error, 3 resource limit exceeded.
 Config fields can come from SKEWALG_* environment variables; flags win.
+Check names, check parameters and varieties are validated by the library
+(verify, builtin_variety); a ValueError or OSError is a usage error.
 """
 
 import argparse
@@ -11,8 +13,7 @@ import sys
 
 from .config import Config, ResourceLimitError
 from .family import basea_count, fm, n_bound
-from .poly import (MultiPoly, ParseError, format_poly, parse_identity_file,
-                   parse_poly, parse_word)
+from .poly import MultiPoly, format_poly, parse_identity_file, parse_poly, parse_word
 from .symmetrize import skew
 from .variety import builtin_variety, component_dimension, is_member
 from .verify import CHECKS, DESK_SUITE, Report, verify
@@ -35,17 +36,11 @@ def _parse_multidegree(text: str) -> dict:
 
 
 def _load_variety(args):
-    if args.variety == "custom":
-        if not getattr(args, "identities", None):
-            raise SystemExit2("--variety custom needs --identities FILE")
+    polys = None
+    if args.identities is not None:
         with open(args.identities) as fh:
             polys = parse_identity_file(fh.read())
-        return builtin_variety("custom", polys)
-    return builtin_variety(args.variety)
-
-
-class SystemExit2(Exception):
-    """Usage-level error discovered after argparse."""
+    return builtin_variety(args.variety, polys)
 
 
 def _emit(args, text_line: str, payload: dict):
@@ -95,19 +90,16 @@ def cmd_member(args, config):
     payload = {"command": "member", "variety": variety.name,
                "member": result.member}
     if result.member:
-        cert_paths = []
+        certs, paths = result.certificates, []
         if args.certify:
-            docs = [c.to_json(variety) for c in result.certificates]
-            if len(docs) == 1:
+            if len(certs) == 1:
                 paths = [args.certify]
             else:
                 stem = args.certify.removesuffix(".json")
-                paths = [f"{stem}-{i}.json" for i in range(len(docs))]
-            for path, doc in zip(paths, docs):
-                with open(path, "w") as fh:
-                    json.dump(doc, fh, indent=1)
-            cert_paths = paths
-        payload["certificates"] = cert_paths
+                paths = [f"{stem}-{i}.json" for i in range(len(certs))]
+            for path, cert in zip(paths, certs):
+                cert.write(path, variety)
+        payload["certificates"] = paths
         _emit(args, "member", payload)
         return EXIT_OK
     payload["witness"] = format_word(result.witness)
@@ -131,10 +123,14 @@ def _verdict_exit(reports) -> int:
 
 
 def cmd_verify(args, config):
+    params = {key: getattr(args, key) for key in ("m", "k", "d", "degree_bound")
+              if getattr(args, key) is not None}
     if args.all_desk:
+        if args.check or params:
+            raise ValueError("--all-desk takes no CHECK, --m, --k, --d or --degree-bound")
         reports = []
-        for name, params in DESK_SUITE:
-            report = verify(name, params, config)
+        for name, desk_params in DESK_SUITE:
+            report = verify(name, desk_params, config)
             reports.append(report)
             if args.format != "json":
                 print(_report_lines(report))
@@ -142,17 +138,7 @@ def cmd_verify(args, config):
             print(json.dumps([r.to_json() for r in reports], indent=1))
         return _verdict_exit(reports)
     if not args.check:
-        raise SystemExit2("verify needs a CHECK name or --all-desk")
-    if args.check not in CHECKS:
-        raise SystemExit2(f"unknown check {args.check!r}; known: {', '.join(sorted(CHECKS))}")
-    params = {}
-    for key in ("m", "k", "d", "degree_bound"):
-        val = getattr(args, key, None)
-        if val is None:
-            continue
-        if key not in CHECKS[args.check].defaults:
-            raise SystemExit2(f"check {args.check!r} does not take --{key.replace('_', '-')}")
-        params[key] = val
+        raise ValueError("verify needs a CHECK name or --all-desk")
     report = verify(args.check, params, config)
     _emit(args, _report_lines(report), report.to_json())
     return _verdict_exit([report])
@@ -244,16 +230,9 @@ def main(argv=None) -> int:
             random_seed=given.get("seed"),
             certificate_directory=given.get("cert_dir"),
         )
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    args.format = config.output_format
-    try:
+        args.format = config.output_format
         return args.func(args, config)
-    except SystemExit2 as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParseError, FileNotFoundError, ValueError) as e:
+    except (OSError, ValueError) as e:  # ParseError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceLimitError as e:

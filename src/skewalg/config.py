@@ -34,6 +34,8 @@ class Config:
             raise ValueError("limits must be positive")
         if self.output_format not in ("text", "json"):
             raise ValueError("output_format must be 'text' or 'json'")
+        if self.certificate_directory == "":
+            raise ValueError("certificate_directory must name a directory, not be empty")
 
     @classmethod
     def from_env(cls, **overrides) -> "Config":

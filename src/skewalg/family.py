@@ -1,6 +1,7 @@
 """The recursive alternating commutator family f_m, super-bracket words in
 one odd generator, the base catalogue with its degree bookkeeping, the
-generator-count bound, and the two-parameter skew decomposition solver.
+generator-count bound, the ambient of the alternating checks and the
+two-parameter skew decomposition solver.
 
 f_1(x1) = x1, f_2(x1, x2) = [x1, x2], and
 
@@ -26,7 +27,7 @@ from .config import DEFAULT_CONFIG
 from .poly import MultiPoly, add_terms, multiply
 from .rationals import QQ
 from .symmetrize import as_one_variable, permutation_sign, skew
-from .variety import builtin_variety, component_space
+from .variety import ComponentSpace, builtin_variety, component_space
 from .words import leaves, relabel
 
 
@@ -267,7 +268,18 @@ def standard_polynomial(n: int) -> dict:
     return {perm: permutation_sign(perm) for perm in permutations(range(1, n + 1))}
 
 
-# -- skew decomposition (two-parameter solve) ---------------------------------
+# -- the alternating ambient and the skew decomposition -----------------------
+
+
+def alternating_space(m: int, config=DEFAULT_CONFIG) -> ComponentSpace:
+    """The multilinear degree-m component of the alternative T-ideal.
+
+    Every alternating claim (fm_nonzero, skew_dim, lemma3, eq6) is decided
+    in this one ambient.  Each call looks the space up through
+    component_space, whose session cache is the only one.
+    """
+    return component_space(builtin_variety("alt"), {i: 1 for i in range(1, m + 1)},
+                           config)
 
 
 @dataclass
@@ -291,15 +303,14 @@ def solve_skew_decomposition(m: int, config=DEFAULT_CONFIG) -> SkewDecomposition
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    space = component_space(builtin_variety("alt"), {i: 1 for i in range(1, m + 1)},
-                            config)
+    space = alternating_space(m, config)
     s1 = skew(x_bracket(m).poly)
     s2 = skew(z_word(m - 2).poly) if m - 2 >= 2 else MultiPoly.zero()
-    quotient = space.quotient([s1, s2])  # insertion ids 0 and 1
+    quotient = space.quotient([s1])  # insertion id 0
+    z_independent = quotient.insert_reduce(space.residual_of(s2))  # insertion id 1
     coeffs, _ = quotient.express_in_span(space.residual_of(fm(m)))
     if coeffs is None:
         return SkewDecomposition(m, "no_solution")
-    z_independent = any(source[0] == 1 for source in quotient.pivot_source.values())
     alpha = QQ(coeffs.get(0, 0))
     beta = QQ(coeffs.get(1, 0)) if z_independent else None
     beta_free = (m - 2 >= 2) and not z_independent

@@ -21,6 +21,7 @@ rows, pivots, provenance and certificates stay the same, and the
 rank-raising insertions keep their order.
 """
 
+import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -60,8 +61,10 @@ def builtin_variety(name: str, identity_polys=None) -> Variety:
     """Named identity sets: assoc, alt, flex, ncj_cor1, free, custom.
 
     custom takes a list of multihomogeneous polynomials (see
-    parse_identity_file) and linearizes them.
+    parse_identity_file) and linearizes them; no other name takes any.
     """
+    if identity_polys is not None and name != "custom":
+        raise ValueError(f"only the custom variety takes identities, not {name!r}")
     x1, x2, x3 = _x(1), _x(2), _x(3)
     if name == "assoc":
         return Variety("assoc", (associator(x1, x2, x3),))
@@ -246,6 +249,11 @@ class MembershipCertificate:
                    for g in doc["generators"]]
         md = {int(k[1:]): v for k, v in doc["multidegree"].items()}
         return MembershipCertificate(parse_poly(doc["target"]), doc["variety"], md, entries)
+
+    def write(self, path: str, variety: Variety):
+        """Write to_json(variety) to path: the one writer of certificate files."""
+        with open(path, "w") as fh:
+            json.dump(self.to_json(variety), fh, indent=1)
 
     def recheck(self, variety: Variety) -> bool:
         """Re-expand without the solver and compare exactly.  Certificates may

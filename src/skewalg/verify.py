@@ -8,7 +8,6 @@ certificates are written as separate JSON files referenced by path, when
 the config names a certificate directory.
 """
 
-import json
 import os
 import random
 import time
@@ -17,15 +16,15 @@ from itertools import chain, combinations, product
 from math import factorial
 
 from .config import DEFAULT_CONFIG, ResourceLimitError
-from .family import (associative_projection, base_element, basea_count,
-                     fm, solve_skew_decomposition, standard_polynomial,
+from .family import (alternating_space, associative_projection, base_element,
+                     basea_count, fm, solve_skew_decomposition, standard_polynomial,
                      x_bracket, BaseDescriptor)
 from .linalg import EchelonAccumulator
 from .poly import (MultiPoly, add_terms, commutator, jordan, multiply, relabel_poly,
                    substitute)
 from .symmetrize import collapse, is_skew_symmetric, skew
-from .variety import (builtin_variety, component_dimension, component_space,
-                      consequence_generators, expand_descriptor, is_member)
+from .variety import (builtin_variety, component_dimension, consequence_generators,
+                      expand_descriptor, is_member)
 from .words import enumerate_words, format_word, leaves
 
 
@@ -117,8 +116,7 @@ def check_eq4(params, config):
 
 def check_fm_nonzero(params, config):
     m = params["m"]
-    alt = builtin_variety("alt")
-    space = component_space(alt, {i: 1 for i in range(1, m + 1)}, config)
+    space = alternating_space(m, config)
     space.saturate()
     residual = space.residual_of(fm(m))
     details = {
@@ -136,8 +134,7 @@ def check_fm_nonzero(params, config):
 def check_skew_dim(params, config):
     d = params["d"]
     expected = basea_count(d)
-    space = component_space(builtin_variety("alt"), {i: 1 for i in range(1, d + 1)},
-                            config)
+    space = alternating_space(d, config)
     images = space.quotient([skew(MultiPoly.monomial(w))
                              for w in enumerate_words({1: d})])
     details = {
@@ -275,8 +272,7 @@ def check_eq6(params, config):
     m = params["m"]
     if m < 3:
         raise ValueError("eq6 needs m >= 3")
-    space = component_space(builtin_variety("alt"), {i: 1 for i in range(1, m + 1)},
-                            config)
+    space = alternating_space(m, config)
     terms = []  # (sign, term) per omitted pair i < j
     for i, j in combinations(range(1, m + 1), 2):
         rest = (k for k in range(1, m + 1) if k != i and k != j)
@@ -442,23 +438,25 @@ def _write_certificates(check, params, cert_pairs, config):
     for i, (cert, variety) in enumerate(cert_pairs):
         path = os.path.join(config.certificate_directory,
                             f"{check}_{tag}_{i}.json")
-        with open(path, "w") as fh:
-            json.dump(cert.to_json(variety), fh, indent=1)
+        cert.write(path, variety)
         paths.append(path)
     return paths
 
 
 def verify(check: str, params=None, config=DEFAULT_CONFIG) -> Report:
-    """Run one named check; resource limits surface as their own verdict."""
+    """Run one named check; resource limits surface as their own verdict.
+
+    An unknown check name or a parameter the check does not take raises
+    ValueError before anything runs.
+    """
     if check not in CHECKS:
-        raise ValueError(f"unknown check {check!r}")
+        raise ValueError(f"unknown check {check!r}; known: {', '.join(sorted(CHECKS))}")
     cdef = CHECKS[check]
-    merged = dict(cdef.defaults)
-    if params:
-        unknown = set(params) - set(cdef.defaults)
-        if unknown:
-            raise ValueError(f"unknown parameters for {check}: {sorted(unknown)}")
-        merged.update(params)
+    params = params or {}
+    unknown = set(params) - set(cdef.defaults)
+    if unknown:
+        raise ValueError(f"check {check!r} does not take {', '.join(sorted(unknown))}")
+    merged = {**cdef.defaults, **params}
     t0 = time.perf_counter()
     try:
         verdict, details, cert_pairs = cdef.runner(merged, config)

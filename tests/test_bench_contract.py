@@ -12,7 +12,10 @@ the tracer cannot read fails here instead of skewing those metrics.  In the same
 way skew must call alternate through the module, and fm must recurse
 through its module-level name, or the per-layer term counts would miss
 the nested calls.  A second component_space call on the same component
-must return the cached space, or variety.cache_hit_ratio would read 0.
+must return the cached space, or variety.cache_hit_ratio would read 0; the
+alternating checks reach their space through family.alternating_space,
+which must look it up through that traced name on every call and keep no
+cache of its own, or the ratio would miss their lookups or their hits.
 """
 
 import os
@@ -69,8 +72,11 @@ def test_tracer_counts_a_cache_hit():
         "from skewalg import variety\n"
         "first = variety.component_space(variety.builtin_variety('alt'), {1: 1, 2: 1})\n"
         "again = variety.component_space(variety.builtin_variety('alt'), {2: 1, 1: 1})\n"
-        "print(tr.space_calls, tr.space_hits, first is again)\n")
-    assert out.split() == ["2", "1", "True"]
+        "print(tr.space_calls, tr.space_hits, first is again)\n"
+        "skewalg.verify('skew_dim', {'d': 3})\n"
+        "skewalg.verify('fm_nonzero', {'m': 3})\n"
+        "print(tr.space_calls, tr.space_hits)\n")
+    assert out.split() == ["2", "1", "True", "4", "2"]
 
 
 def test_tracer_counts_nested_term_builders():

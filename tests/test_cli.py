@@ -5,6 +5,7 @@ import pytest
 
 from skewalg.cli import main
 from skewalg.config import Config
+from skewalg.variety import MembershipCertificate, builtin_variety
 
 
 def run(capsys, *argv):
@@ -64,6 +65,7 @@ def test_member_true_with_certificate(tmp_path, capsys):
     doc = json.loads(cert.read_text())
     assert doc["variety"] == "flex"
     assert doc["generators"]
+    assert MembershipCertificate.from_json(doc).recheck(builtin_variety("flex"))
 
 
 def test_member_false_exit_code(tmp_path, capsys):
@@ -171,6 +173,14 @@ def test_env_certificate_directory(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "--format", "json", "verify", "eq1")
     assert code == 0
     assert [p.parent for p in map(Path, json.loads(out)["certificates"])] == [certs]
+    # an empty directory name is a usage error found before the check runs
+    code, out, err = run(capsys, "--cert-dir", "", "verify", "eq1")
+    assert code == 2 and "certificate_directory" in err and out == ""
+    monkeypatch.setenv("SKEWALG_CERTIFICATE_DIRECTORY", "")
+    with pytest.raises(ValueError, match="certificate_directory"):
+        Config.from_env()
+    code, out, err = run(capsys, "verify", "eq1")
+    assert code == 2 and "certificate_directory" in err and out == ""
     monkeypatch.delenv("SKEWALG_CERTIFICATE_DIRECTORY")
     assert Config.from_env().certificate_directory is None
 
@@ -220,3 +230,24 @@ def test_verify_rejects_foreign_param(capsys):
     code, _, err = run(capsys, "verify", "eq1", "--m", "3")
     assert code == 2
     assert "does not take" in err
+    assert "check 'eq1' does not take m" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "eq1", "--all-desk"], "--all-desk takes no"),
+    (["verify", "--all-desk", "--m", "3"], "--all-desk takes no"),
+    (["dim", "--variety", "alt", "--multideg", "1,1", "--identities", "{ids}"],
+     "only the custom variety takes identities"),
+    (["member", "--variety", "flex", "--input", "{dir}"], "Is a directory"),
+], ids=["check-with-all-desk", "param-with-all-desk", "identities-with-builtin",
+        "input-is-directory"])
+def test_rejected_usage_runs_nothing(tmp_path, capsys, argv, message):
+    ids = tmp_path / "ids.txt"
+    ids.write_text("((x1*x2)*x1) - (x1*(x2*x1))\n")
+    certs = tmp_path / "certs"
+    argv = [a.format(ids=ids, dir=tmp_path) for a in argv]
+    code, out, err = run(capsys, "--cert-dir", str(certs), *argv)
+    assert code == 2
+    assert message in err
+    assert out == ""
+    assert not certs.exists()  # nothing ran: verify would have written here

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from oracles import dense_express, fm_by_substitution
-from skewalg.family import (BaseDescriptor, SuperWord, associative_projection,
-                            base_descriptors, base_element, basea_count, fm,
+from skewalg.family import (BaseDescriptor, SuperWord, alternating_space,
+                            associative_projection, base_descriptors, base_element, basea_count, fm,
                             n_bound, odd_generator, solve_skew_decomposition,
                             standard_polynomial, super_commutator,
                             super_jordan, t_element, t_power,
@@ -12,8 +12,8 @@ from skewalg.family import (BaseDescriptor, SuperWord, associative_projection,
 from skewalg.poly import MultiPoly, commutator, parse_poly
 from skewalg.rationals import QQ
 from skewalg.symmetrize import collapse, is_skew_symmetric, skew
-from skewalg.variety import (ComponentSpace, builtin_variety, consequence_generators,
-                             expand_descriptor)
+from skewalg.variety import (ComponentSpace, builtin_variety, component_space,
+                             consequence_generators, expand_descriptor)
 
 
 def test_fm_base_cases():
@@ -225,6 +225,8 @@ def test_standard_polynomial_small():
 def test_solve_skew_decomposition_small(config):
     alt = builtin_variety("alt")
     for m, expect_free in [(2, False), (3, False), (4, True), (5, True)]:
+        md = {i: 1 for i in range(1, m + 1)}
+        assert alternating_space(m, config) is component_space(alt, md, config)
         r = solve_skew_decomposition(m, config)
         assert r.status == "ok"
         assert r.alpha == QQ(1, 2)

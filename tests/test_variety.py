@@ -56,6 +56,8 @@ def test_custom_variety():
         builtin_variety("custom", [parse_poly("x1 + (x1*x1)")])
     with pytest.raises(ValueError):
         builtin_variety("custom")
+    with pytest.raises(ValueError, match="only the custom variety"):
+        builtin_variety("alt", [parse_poly("((x1*x1)*x2) - (x1*(x1*x2))")])
 
 
 def test_variety_rejects_nonmultilinear_identity():

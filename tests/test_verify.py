@@ -18,9 +18,9 @@ def test_registry_names():
 
 
 def test_unknown_check_and_params(config):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown check 'nope'; known: .*eq1"):
         verify("nope", {}, config)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="check 'lemma1' does not take q"):
         verify("lemma1", {"q": 3}, config)
 
 
