@@ -41,9 +41,16 @@ class Config:
     def from_env(cls, **overrides) -> "Config":
         kwargs = {}
         for f in fields(cls):
-            env = os.environ.get(f"SKEWALG_{f.name.upper()}")
-            if env is not None:
-                kwargs[f.name] = int(env) if f.type is int else env
+            name = f"SKEWALG_{f.name.upper()}"
+            env = os.environ.get(name)
+            if env is None:
+                continue
+            if f.type is int:
+                try:
+                    env = int(env)
+                except ValueError:
+                    raise ValueError(f"{name} must be an integer, got {env!r}") from None
+            kwargs[f.name] = env
         kwargs.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**kwargs)
 

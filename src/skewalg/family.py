@@ -24,33 +24,67 @@ from itertools import permutations
 from math import comb
 
 from .config import DEFAULT_CONFIG
-from .poly import MultiPoly, add_terms, multiply
+from .poly import MultiPoly, _wrap, add_terms, multiply
 from .rationals import QQ
 from .symmetrize import as_one_variable, permutation_sign, skew
 from .variety import ComponentSpace, builtin_variety, component_space
-from .words import leaves, relabel
+from .words import leaves
+
+
+def _flatten(words, n: int) -> tuple:
+    """(nodes, roots) for words whose leaves are variables 1..n-1.
+
+    A position below n is the leaf of that variable; position n + k is
+    nodes[k], a pair (left position, right position) listed after its
+    children.  Equal subwords share one position, and roots holds the
+    position of each word in order.
+    """
+    nodes = []
+    by_pair = {}  # (left position, right position) -> position
+    by_id = {}    # id of a node object met before -> position; words stay alive
+
+    def visit(w):
+        if isinstance(w, int):
+            return w
+        pos = by_id.get(id(w))
+        if pos is None:
+            key = (visit(w[0]), visit(w[1]))
+            pos = by_pair.get(key)
+            if pos is None:
+                pos = by_pair[key] = n + len(nodes)
+                nodes.append(key)
+            by_id[id(w)] = pos
+        return pos
+
+    return nodes, [visit(w) for w in words]
 
 
 @lru_cache(maxsize=None)
 def fm(m: int) -> MultiPoly:
     """The degree-m alternating polynomial of the recursion, in x1..xm.
 
-    [xi, xj] for x1 is two relabellings: x1 -> (xi xj) and x1 -> -(xj xi)."""
+    [xi, xj] for x1 is two relabellings: x1 -> (xi xj) and x1 -> -(xj xi).
+    fm(m-1)'s distinct subwords are flattened once; each relabelling then
+    rebuilds them in one pass, children first."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if m == 1:
         return MultiPoly.variable(1)
-    prev = fm(m - 1).terms.items()
+    prev = fm(m - 1).terms
+    nodes, roots = _flatten(prev, m)
+    coeffs = list(prev.values())
     acc = {}
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
             sign = 1 if (i + j) % 2 else -1  # (-1)^(i+j-1)
-            rest = dict(enumerate((k for k in range(1, m + 1) if k != i and k != j),
-                                  start=2))
+            rest = [k for k in range(1, m + 1) if k != i and k != j]
             for first, s in (((i, j), sign), ((j, i), -sign)):
-                mapping, shared = {1: first, **rest}, {}  # prev keeps its words alive
-                add_terms(acc, ((relabel(w, mapping, shared), s * c) for w, c in prev))
-    return MultiPoly(acc)
+                images = [0, first, *rest]  # position v < m holds x_v's image
+                grow = images.append
+                for left, right in nodes:
+                    grow((images[left], images[right]))
+                add_terms(acc, ((images[r], s * c) for r, c in zip(roots, coeffs)))
+    return _wrap(acc)
 
 
 # -- one-odd-generator super-bracket words -----------------------------------

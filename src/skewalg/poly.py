@@ -22,7 +22,7 @@ import re
 from contextlib import contextmanager
 
 from .rationals import QQ
-from .words import HOLE, format_word, md_key, multidegree_of, relabel, sort_key
+from .words import HOLE, degree, format_word, md_key, multidegree_of, relabel, sort_key
 
 
 class ParseError(ValueError):
@@ -348,15 +348,17 @@ def parse_word(s: str, allow_hole=False):
 def format_poly(p: MultiPoly) -> str:
     if p.is_zero():
         return "0"
+    # canonical order, each word formatted once: (degree, text) is its
+    # sort_key, and texts are distinct, so coefficients are never compared
+    terms = sorted((degree(w), format_word(w), c) for w, c in p.terms.items())
     parts = []
-    for idx, (w, c) in enumerate(p.items()):
+    for idx, (_, text, c) in enumerate(terms):
         mag = c if c > 0 else -c
         coeff = "" if mag == 1 else f"{mag}*"
-        body = f"{coeff}{format_word(w)}"
         if idx == 0:
-            parts.append(body if c > 0 else f"-{mag}*{format_word(w)}")
+            parts.append(f"{coeff}{text}" if c > 0 else f"-{mag}*{text}")
         else:
-            parts.append(f"{'+' if c > 0 else '-'} {body}")
+            parts.append(f"{'+' if c > 0 else '-'} {coeff}{text}")
     return " ".join(parts)
 
 

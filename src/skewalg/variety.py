@@ -19,6 +19,16 @@ polynomial lies in the span of those already streamed in its group would
 reduce to zero, so it is dropped.  Only dependent insertions vanish:
 rows, pivots, provenance and certificates stay the same, and the
 rank-raising insertions keep their order.
+
+A space turns a streamed descriptor into its column vector through an
+integer word table, built once from the words of the component's
+sub-multidegrees: every such word has an id (the ambient words first, so
+an ambient word's id is its column) and every word of degree >= 2 is the
+image of its (left id, right id) pair.  Each identity term is compiled
+once into register operations over the slot positions, and each context
+once into its path of (side, sibling id) steps from the hole up, so a
+generator's vector takes pair lookups alone, with the terms summed in the
+order expand_descriptor sums them.  Slot-orbit groups are keyed by ids.
 """
 
 import json
@@ -29,12 +39,12 @@ from math import lcm
 
 from .config import DEFAULT_CONFIG, Config, ResourceLimitError
 from .linalg import EchelonAccumulator
-from .poly import (MultiPoly, associator, commutator, format_poly, multiply,
-                   parse_poly, parse_word, relabel_poly)
+from .poly import (MultiPoly, add_terms, associator, commutator, format_poly,
+                   multiply, parse_poly, parse_word, relabel_poly)
 from .rationals import QQ
 from .symmetrize import linearize
-from .words import (HOLE, enumerate_words, format_word, md_key, multidegree_of,
-                    relabel, word_count)
+from .words import (HOLE, _words_for, enumerate_words, format_word, md_key,
+                    multidegree_of, relabel, word_count)
 
 
 @dataclass(frozen=True)
@@ -105,14 +115,15 @@ class GenDescriptor:
     substitution: tuple  # word for identity variable i+1 at position i
     context: object      # word with exactly one HOLE leaf; HOLE alone = no context
 
-    def to_json(self, identity: str) -> dict:
-        """identity: the text of the identity this descriptor names."""
+    def to_json(self, identity: str, name=format_word) -> dict:
+        """identity: the text of the identity this descriptor names; name
+        formats a word."""
         return {
             "identity_index": self.identity_index,
             "identity": identity,
-            "substitution": {f"x{i + 1}": format_word(w)
+            "substitution": {f"x{i + 1}": name(w)
                              for i, w in enumerate(self.substitution)},
-            "context": format_word(self.context),
+            "context": name(self.context),
         }
 
     @staticmethod
@@ -123,17 +134,24 @@ class GenDescriptor:
                              parse_word(doc["context"], allow_hole=True))
 
 
-def expand_descriptor(variety: Variety, desc: GenDescriptor) -> MultiPoly:
-    """Rebuild the generator polynomial from its descriptor.
-
-    ComponentSpace expands with this every streamed generator it inserts.
-    MembershipCertificate.recheck shares no code with the echelon, and the
-    benchmark's perfbench/reference.py is a separate expander.
-    """
+def _expansion(variety: Variety, desc: GenDescriptor):
+    """The generator's (word, coefficient) pairs, one per identity term,
+    in the identity's term order; words may repeat."""
     f = variety.identities[desc.identity_index]
     images = {i + 1: w for i, w in enumerate(desc.substitution)}
-    return MultiPoly.from_pairs((relabel(desc.context, {HOLE: relabel(w, images)}), c)
-                                for w, c in f.terms.items())
+    ctx = desc.context
+    return ((relabel(ctx, {HOLE: relabel(w, images)}), c) for w, c in f.terms.items())
+
+
+def expand_descriptor(variety: Variety, desc: GenDescriptor) -> MultiPoly:
+    """Rebuild the generator polynomial from its descriptor, word by word.
+
+    ComponentSpace vectorises generators through its word table instead;
+    this is the expander MembershipCertificate.recheck sums with, apart
+    from the table and the echelon, and the benchmark's
+    perfbench/reference.py is a separate one.
+    """
+    return MultiPoly.from_pairs(_expansion(variety, desc))
 
 
 def _compositions(n: int, parts: int):
@@ -146,22 +164,19 @@ def _compositions(n: int, parts: int):
 
 
 def _splits(d: dict, k: int):
-    """(context multidegree, k nonzero slot multidegrees) summing to d."""
+    """(context multidegree, k nonzero slot multidegrees) summing to d,
+    each as an md_key."""
     vars_ = sorted(d)
     per_var = [list(_compositions(d[v], k + 1)) for v in vars_]
     for combo in product(*per_var):
         slots = []
-        ok = True
         for b in range(1, k + 1):
-            md = {v: combo[i][b] for i, v in enumerate(vars_) if combo[i][b]}
+            md = tuple((v, parts[b]) for v, parts in zip(vars_, combo) if parts[b])
             if not md:
-                ok = False
                 break
             slots.append(md)
-        if not ok:
-            continue
-        ctx = {v: combo[i][0] for i, v in enumerate(vars_) if combo[i][0]}
-        yield ctx, slots
+        else:
+            yield tuple((v, parts[0]) for v, parts in zip(vars_, combo) if parts[0]), slots
 
 
 def consequence_generators(variety: Variety, d: dict):
@@ -175,9 +190,9 @@ def consequence_generators(variety: Variety, d: dict):
         k = len(f.variables())
         if sum(d.values()) < k:
             continue
-        for ctx_md, slot_mds in _splits(d, k):
-            contexts = enumerate_words({**ctx_md, HOLE: 1})
-            slot_words = [enumerate_words(md) for md in slot_mds]
+        for ctx_key, slot_keys in _splits(d, k):
+            contexts = _words_for(((HOLE, 1),) + ctx_key)  # HOLE sorts first
+            slot_words = [_words_for(key) for key in slot_keys]
             for ctx in contexts:
                 for subs in product(*slot_words):
                     yield GenDescriptor(idx, subs, ctx)
@@ -221,6 +236,142 @@ def _slot_orbits(identities: tuple) -> _SlotOrbits:
     return _SlotOrbits(identities)
 
 
+def _program(w, k: int) -> tuple:
+    """Register operations building w from slot ids in registers 0..k-1.
+
+    w is a word in x1..xk; an operation (l, r) appends the id of the pair
+    (register l, register r), and the last register holds w's id.
+    """
+    ops = []
+
+    def walk(u):
+        if isinstance(u, int):
+            return u - 1
+        left, right = walk(u[0]), walk(u[1])
+        ops.append((left, right))
+        return k + len(ops) - 1
+
+    walk(w)
+    return tuple(ops)
+
+
+class _WordTable:
+    """Integer ids for the words of a component's sub-multidegrees.
+
+    The ambient words come first, in canonical order, so the id of an
+    ambient word is its column.  pair maps left_id * size + right_id to
+    the id of the word (left, right).
+    """
+
+    def __init__(self, identities: tuple, multidegree: dict):
+        key = md_key(multidegree)
+        ids = {w: i for i, w in enumerate(_words_for(key))}
+        for exps in product(*(range(e + 1) for _, e in key)):
+            sub = tuple((v, e) for (v, _), e in zip(key, exps) if e)
+            if sub and sub != key:
+                for w in _words_for(sub):
+                    ids[w] = len(ids)
+        self.ids = ids
+        self.size = n = len(ids)
+        self.pair = {ids[w[0]] * n + ids[w[1]]: i for w, i in ids.items()
+                     if not isinstance(w, int)}
+        self.programs = [tuple((_program(w, len(f.variables())), c)
+                               for w, c in f.terms.items()) for f in identities]
+        self._contexts = {}  # context word -> (number, path)
+
+    def context(self, ctx) -> tuple:
+        """(number, path) of a one-hole context: the number names it among
+        the contexts seen; the path has one (multiplier, addend) step per
+        node from the hole up, turning the id u of the filled subword into
+        the pair key u * multiplier + addend."""
+        try:
+            return self._contexts[ctx]
+        except KeyError:
+            pass
+        path = []
+        node = ctx
+        while node != HOLE:
+            left, right = node
+            if HOLE in multidegree_of(left):
+                path.append((self.size, self.ids[right]))
+                node = left
+            else:
+                path.append((1, self.ids[left] * self.size))
+                node = right
+        entry = self._contexts[ctx] = (len(self._contexts), tuple(reversed(path)))
+        return entry
+
+    def slot_ids(self, words) -> tuple:
+        return tuple(map(self.ids.__getitem__, words))
+
+    def vector(self, identity_index: int, slots: tuple, path: tuple) -> dict:
+        """Column vector of identity identity_index with the words of ids
+        slots in its variables, in the context of path."""
+        pair, n = self.pair, self.size
+        out = {}
+        get = out.get
+        for ops, c in self.programs[identity_index]:
+            reg = list(slots)
+            for left, right in ops:
+                reg.append(pair[reg[left] * n + reg[right]])
+            w = reg[-1]
+            for mult, add in path:
+                w = pair[w * mult + add]
+            total = get(w, 0) + c
+            if total:
+                out[w] = total
+            else:
+                out.pop(w, None)
+        return out
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _dump_indented(doc: dict, fh):
+    """json.dump(doc, fh, indent=1) for a doc of dicts with str keys,
+    lists, str and int, without the standard library's pure-Python indent
+    encoder: a str or int is written in one piece with its key, and the
+    pieces go to fh a few hundred at a time."""
+    out = []
+    emit = out.append
+
+    def value(head, v, level):
+        """Emit the text head, then v at nesting level."""
+        if type(v) is str:
+            emit(head + _quote(v))
+        elif type(v) is int:
+            emit(head + int.__repr__(v))
+        elif type(v) is not dict and type(v) is not list:
+            raise TypeError(f"{type(v).__name__} is not a certificate value")
+        elif not v:
+            emit(head + ("{}" if type(v) is dict else "[]"))
+        elif type(v) is dict:
+            inner = "\n" + " " * (level + 1)
+            sep = head + "{" + inner
+            for k, x in v.items():
+                k = f"{sep}{_quote(k)}: "  # _quote raises TypeError on a non-str
+                if type(x) is str:  # the common case, without a call
+                    emit(k + _quote(x))
+                else:
+                    value(k, x, level + 1)
+                sep = "," + inner
+            emit("\n" + " " * level + "}")
+        else:
+            inner = "\n" + " " * (level + 1)
+            sep = head + "[" + inner
+            for x in v:
+                value(sep, x, level + 1)
+                sep = "," + inner
+                if len(out) > 512:
+                    fh.write("".join(out))
+                    out.clear()
+            emit("\n" + " " * level + "]")
+
+    value("", doc, 0)
+    fh.write("".join(out))
+
+
 @dataclass
 class MembershipCertificate:
     """Exact witness: target = sum of coefficient * expanded descriptor."""
@@ -233,12 +384,20 @@ class MembershipCertificate:
     def to_json(self, variety: Variety) -> dict:
         texts = {i: format_poly(variety.identities[i])  # once per identity used
                  for i in {desc.identity_index for desc, _ in self.entries}}
+        names = {}  # word -> text, so each distinct word is formatted once
+
+        def name(w):
+            text = names.get(w)
+            if text is None:
+                text = names[w] = format_word(w)
+            return text
+
         return {
             "target": format_poly(self.target),
             "variety": self.variety_name,
             "multidegree": {f"x{v}": e for v, e in sorted(self.multidegree.items())},
             "generators": [
-                {**desc.to_json(texts[desc.identity_index]), "coefficient": str(c)}
+                {**desc.to_json(texts[desc.identity_index], name), "coefficient": str(c)}
                 for desc, c in self.entries
             ],
         }
@@ -251,9 +410,11 @@ class MembershipCertificate:
         return MembershipCertificate(parse_poly(doc["target"]), doc["variety"], md, entries)
 
     def write(self, path: str, variety: Variety):
-        """Write to_json(variety) to path: the one writer of certificate files."""
+        """Write to_json(variety) to path, byte for byte as json.dump(...,
+        indent=1) would: the one writer of certificate files."""
+        doc = self.to_json(variety)
         with open(path, "w") as fh:
-            json.dump(self.to_json(variety), fh, indent=1)
+            _dump_indented(doc, fh)
 
     def recheck(self, variety: Variety) -> bool:
         """Re-expand without the solver and compare exactly.  Certificates may
@@ -270,10 +431,9 @@ class MembershipCertificate:
         den = lcm(*(c.denominator for _, c in self.entries))
         scaled = [(desc, c.numerator * (den // c.denominator))
                   for desc, c in self.entries]
-        return MultiPoly.from_pairs(
-            (w, n * cw) for desc, n in scaled
-            for w, cw in expand_descriptor(variety, desc).terms.items()
-        ) == self.target.scale(den)
+        return add_terms({}, ((w, n * cw) for desc, n in scaled
+                              for w, cw in _expansion(variety, desc))
+                         ) == self.target.scale(den).terms
 
 
 class ComponentSpace:
@@ -288,21 +448,24 @@ class ComponentSpace:
             raise ResourceLimitError("max_ambient_dimension", n,
                                      config.max_ambient_dimension)
         self.ambient = enumerate_words(self.multidegree)
-        self.index = {w: i for i, w in enumerate(self.ambient)}
         self.acc = EchelonAccumulator(len(self.ambient))
+        self._table = _WordTable(variety.identities, self.multidegree)
         self._stream = consequence_generators(variety, self.multidegree)
         self._descriptors = {}  # insertion id -> GenDescriptor
         self._orbits = _slot_orbits(variety.identities)
-        # (context, set of slot words) -> (the words in first-seen order, state)
+        # (context number, set of slot ids) -> (the ids in first-seen order, state)
         self._groups = {}
         self._streamed = 0
         self.exhausted = False
+        self._residuals = {}  # MultiPoly -> its residual, once saturated
 
     def vec(self, p: MultiPoly) -> dict:
+        """Column vector of a polynomial of this component."""
+        ids, n = self._table.ids, len(self.ambient)
         out = {}
         for w, c in p.terms.items():
-            i = self.index.get(w)
-            if i is None:
+            i = ids.get(w)
+            if i is None or i >= n:
                 raise ValueError(
                     f"word {format_word(w)} is outside multidegree "
                     f"{self.multidegree}")
@@ -314,8 +477,9 @@ class ComponentSpace:
 
         Every streamed generator counts against max_generators.  One whose
         slot pattern is spanned in its group (see the module docstring) is
-        dropped before it is expanded; the rest are expanded and inserted,
-        and the descriptors of those that raise the rank kept.
+        dropped before it is vectorised; the rest are vectorised through
+        the word table and inserted, and the descriptors of those that
+        raise the rank kept.
         """
         desc = next(self._stream, None)
         if desc is None:
@@ -325,15 +489,17 @@ class ComponentSpace:
         if self._streamed > self.config.max_generators:
             raise ResourceLimitError("max_generators", self._streamed,
                                      self.config.max_generators)
-        subs = desc.substitution
-        group = (desc.context, frozenset(subs))
-        words, state = self._groups.get(group) or (tuple(dict.fromkeys(subs)), frozenset())
+        table = self._table
+        number, path = table.context(desc.context)
+        slots = table.slot_ids(desc.substitution)
+        group = (number, frozenset(slots))
+        firsts, state = self._groups.get(group) or (tuple(dict.fromkeys(slots)), frozenset())
         state = self._orbits.after(
-            state, (desc.identity_index, tuple(map(words.index, subs))))
+            state, (desc.identity_index, tuple(map(firsts.index, slots))))
         if state is None:
             return True
-        self._groups[group] = words, state
-        vec = self.vec(expand_descriptor(self.variety, desc))
+        self._groups[group] = firsts, state
+        vec = table.vector(desc.identity_index, slots, path)
         if self.acc.insert_reduce(vec):
             self._descriptors[self.acc.n_inserted - 1] = desc
             if self.acc.rank == len(self.ambient):
@@ -358,7 +524,15 @@ class ComponentSpace:
         return len(self.ambient) - self.acc.rank
 
     def residual_of(self, p: MultiPoly) -> dict:
-        return self.acc.residual(self.vec(p))
+        """Remainder of p modulo the rows so far (a fresh dict).  Once the
+        space is saturated the rows are final, so each distinct p is
+        reduced once."""
+        if not self.exhausted:
+            return self.acc.residual(self.vec(p))
+        residual = self._residuals.get(p)
+        if residual is None:
+            residual = self._residuals[p] = self.acc.residual(self.vec(p))
+        return dict(residual)
 
     def quotient(self, polys) -> EchelonAccumulator:
         """Echelon of the polys' residuals modulo the saturated component.

@@ -101,11 +101,14 @@ def _words_for(key: tuple) -> tuple:
             continue
         left = tuple((v, e) for v, e in zip(vars_, left_exps) if e)
         right = tuple((v, e - le) for v, e, le in zip(vars_, exps, left_exps) if e - le)
+        rights = [(b, format_word(b) + ")") for b in _words_for(right)]
         for a in _words_for(left):
-            for b in _words_for(right):
-                out.append((a, b))
-    out.sort(key=sort_key)
-    return tuple(out)
+            head = f"({format_word(a)}*"
+            out.extend((head + tail, (a, b)) for b, tail in rights)
+    # every word here has degree total, so the text alone is the sort key;
+    # texts are distinct, so the words themselves are never compared
+    out.sort()
+    return tuple(w for _, w in out)
 
 
 def enumerate_words(md) -> list:

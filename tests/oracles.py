@@ -10,9 +10,13 @@ used to check that skipping generators by slot orbit changes no row,
 provenance value or certificate.  DictSweepEchelon is the integer echelon
 with its sweep on a dict work vector and rational provenance, used to
 check the engine's dense sweep and integer provenance value for value.
-fm_by_substitution builds f_m with polynomial substitution, separate from
-skewalg.family's relabelling, and alternate_by_relabel alternates term by
-term, separate from skewalg.symmetrize's per-shape alternation.
+WordPathSaturation is the saturation with generators expanded word by
+word, used to check the engine's word table insertion for insertion.
+fm_by_substitution builds f_m with polynomial substitution and
+fm_by_relabel with one relabel per term, both separate from
+skewalg.family's flattened relabelling, and alternate_by_relabel
+alternates term by term, separate from skewalg.symmetrize's per-shape
+alternation.
 """
 
 import heapq
@@ -24,7 +28,7 @@ from math import gcd, lcm
 from skewalg.linalg import EchelonAccumulator
 from skewalg.poly import MultiPoly, add_terms, commutator, substitute
 from skewalg.rationals import QQ
-from skewalg.variety import consequence_generators, expand_descriptor
+from skewalg.variety import _slot_orbits, consequence_generators, expand_descriptor
 from skewalg.words import enumerate_words, relabel
 
 
@@ -279,6 +283,34 @@ class UnprunedSaturation:
         return [(self.descriptors[i], c) for i, c in sorted(coeffs.items())]
 
 
+class WordPathSaturation:
+    """A T-ideal component saturated through words: the engine's stream
+    and slot-orbit memo, groups keyed by (context word, set of slot
+    words), and each kept generator expanded by expand_descriptor and
+    indexed word by word."""
+
+    def __init__(self, variety, multidegree):
+        self.ambient = enumerate_words(multidegree)
+        index = {w: i for i, w in enumerate(self.ambient)}
+        self.acc = EchelonAccumulator(len(self.ambient))
+        self.descriptors = {}  # insertion id -> descriptor, rank-raising only
+        orbits = _slot_orbits(variety.identities)
+        groups = {}
+        for desc in consequence_generators(variety, multidegree):
+            subs = desc.substitution
+            group = (desc.context, frozenset(subs))
+            words, state = groups.get(group) or (tuple(dict.fromkeys(subs)), frozenset())
+            state = orbits.after(state, (desc.identity_index, tuple(map(words.index, subs))))
+            if state is None:
+                continue
+            groups[group] = words, state
+            poly = expand_descriptor(variety, desc)
+            if self.acc.insert_reduce({index[w]: c for w, c in poly.terms.items()}):
+                self.descriptors[self.acc.n_inserted - 1] = desc
+                if self.acc.rank == len(self.ambient):
+                    break
+
+
 @lru_cache(maxsize=None)
 def fm_by_substitution(m: int) -> MultiPoly:
     """f_m with [xi, xj] substituted for x1 of f_{m-1}, pair by pair."""
@@ -298,6 +330,28 @@ def fm_by_substitution(m: int) -> MultiPoly:
             add_terms(acc, ((w, sign * c)
                             for w, c in substitute(prev, assignment).terms.items()))
     return MultiPoly(acc)
+
+
+def fm_by_relabel(m: int) -> MultiPoly:
+    """f_m by the relabelling recursion, one relabel per term and pair:
+    [xi, xj] for x1 is x1 -> (xi xj) and x1 -> -(xj xi).  Not cached, so
+    fm(7) lives only as long as the caller keeps it."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    f = MultiPoly.variable(1)
+    for n in range(2, m + 1):
+        prev = f.terms.items()
+        acc = {}
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                sign = 1 if (i + j) % 2 else -1  # (-1)^(i+j-1)
+                rest = dict(enumerate((k for k in range(1, n + 1) if k != i and k != j),
+                                      start=2))
+                for first, s in (((i, j), sign), ((j, i), -sign)):
+                    mapping, shared = {1: first, **rest}, {}  # prev keeps its words alive
+                    add_terms(acc, ((relabel(w, mapping, shared), s * c) for w, c in prev))
+        f = MultiPoly(acc)
+    return f
 
 
 def _sign(perm) -> int:

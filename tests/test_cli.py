@@ -166,6 +166,14 @@ def test_env_override(tmp_path, capsys, monkeypatch):
     assert code == 0 and out.strip() == "7"
 
 
+@pytest.mark.parametrize("variable", ["SKEWALG_MAX_GENERATORS", "SKEWALG_RANDOM_SEED"])
+def test_env_int_field_not_an_integer_is_usage(capsys, monkeypatch, variable):
+    monkeypatch.setenv(variable, "abc")
+    code, out, err = run(capsys, "basis-count", "--degree", "3")
+    assert code == 2 and out == ""
+    assert f"{variable} must be an integer, got 'abc'" in err
+
+
 def test_env_certificate_directory(tmp_path, capsys, monkeypatch):
     certs = tmp_path / "env-certs"
     monkeypatch.setenv("SKEWALG_CERTIFICATE_DIRECTORY", str(certs))

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import dense_express, fm_by_substitution
+from oracles import dense_express, fm_by_relabel, fm_by_substitution
 from skewalg.family import (BaseDescriptor, SuperWord, alternating_space,
                             associative_projection, base_descriptors, base_element, basea_count, fm,
                             n_bound, odd_generator, solve_skew_decomposition,
@@ -41,6 +41,11 @@ def test_fm_multilinear_integer(m):
 @pytest.mark.parametrize("m", range(1, 7))
 def test_fm_matches_substitution_oracle(m):
     assert fm(m) == fm_by_substitution(m)
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_fm_matches_relabel_recursion(m):
+    assert fm(m) == fm_by_relabel(m)
 
 
 def test_fm_term_counts_frozen():

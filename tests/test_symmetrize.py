@@ -251,9 +251,10 @@ def _node_objects_and_values(words):
 def test_subwords_are_built_once():
     # every subword of an alternate is one object, whichever words hold it
     assert _node_objects_and_values(skew(x_bracket(7).poly).terms) == (265902, 265902)
-    # fm relabels each node of fm(m-1) once per relabelling; equal images
-    # made by different relabellings stay apart (80670 objects unshared)
-    assert _node_objects_and_values(fm(6).terms) == (34470, 30510)
+    # fm rebuilds each distinct node value of fm(m-1) once per relabelling;
+    # equal images made by different relabellings stay apart (80670
+    # objects unshared, 34470 when nodes were shared by object only)
+    assert _node_objects_and_values(fm(6).terms) == (32310, 30510)
 
 
 def test_skew_peak_memory():

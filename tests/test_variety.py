@@ -1,10 +1,13 @@
+import io
 import json
 import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import EagerProvenanceEchelon, UnprunedSaturation, dense_rank
+from oracles import EagerProvenanceEchelon, UnprunedSaturation, WordPathSaturation, dense_rank
 from skewalg.config import Config, ResourceLimitError
 from skewalg.poly import (MultiPoly, commutator, jordan, multiply, parse_poly,
                           substitute)
@@ -441,3 +444,127 @@ def test_slot_orbits_skip_dependent_generators():
     oracle = UnprunedSaturation(ALT, md(2, 1, 1))
     assert space.acc.rank == oracle.acc.rank
     assert space.acc.n_inserted < oracle.acc.n_inserted
+
+
+_TABLE_CASES = [
+    (ALT, md(1, 1, 1, 1)),
+    (FLEX, md(2, 1, 1)),
+    (FLEX, md(2, 1, 1, 1)),
+    (builtin_variety("ncj_cor1"), md(2, 1, 1)),
+    (builtin_variety("custom", [parse_poly("((x1*x1)*x2) - (x1*(x1*x2))"),
+                                parse_poly("((x1*x2)*(x3*x4)) - (x1*(x2*(x3*x4)))")]),
+     md(2, 1, 1)),
+    (ALT, md(5)),
+]
+_TABLE_IDS = ["alt-1111", "flex-211", "flex-2111", "ncj_cor1-211", "custom-211", "alt-5"]
+
+
+@pytest.mark.parametrize("variety_, degree", _TABLE_CASES, ids=_TABLE_IDS)
+def test_word_table_vectors_match_word_expansion(variety_, degree):
+    space = ComponentSpace(variety_, degree)
+    table = space._table
+    n = 0
+    for desc in consequence_generators(variety_, degree):
+        _, path = table.context(desc.context)
+        vec = table.vector(desc.identity_index, table.slot_ids(desc.substitution), path)
+        # equal, and built in the same order
+        assert list(vec.items()) == list(space.vec(expand_descriptor(variety_, desc)).items())
+        n += 1
+    assert n > 0
+
+
+@pytest.mark.parametrize("variety_, degree", _TABLE_CASES, ids=_TABLE_IDS)
+def test_word_table_saturation_matches_word_path(variety_, degree):
+    oracle = WordPathSaturation(variety_, degree)
+    acc = ComponentSpace(variety_, degree).saturate().acc
+    assert acc.n_inserted == oracle.acc.n_inserted
+    assert list(acc.rows) == list(oracle.acc.rows)  # pivots in installation order
+    assert acc.rows == oracle.acc.rows
+    assert acc.provenance == oracle.acc.provenance
+    assert acc.pivot_source == oracle.acc.pivot_source
+
+
+def test_word_table_ids_and_pairs():
+    space = ComponentSpace(FLEX, md(2, 1))
+    table = space._table
+    words = sorted(table.ids, key=table.ids.get)
+    assert words[:len(space.ambient)] == space.ambient  # an ambient id is its column
+    assert len(words) == table.size == len(set(words))
+    for w, i in table.ids.items():
+        if not isinstance(w, int):
+            assert table.pair[table.ids[w[0]] * table.size + table.ids[w[1]]] == i
+    assert len(table.pair) == table.size - 2  # every word but the leaves x1, x2
+    assert table.context(HOLE) == (0, ())
+    number, path = table.context(((1, HOLE), 2))
+    assert number == 1 and len(path) == 2
+
+
+def test_saturated_space_reduces_each_polynomial_once(monkeypatch):
+    space = ComponentSpace(ALT, md(1, 1, 1)).saturate()
+    p = parse_poly("((x1*x2)*x3) - (x2*(x1*x3))")
+    calls = []
+    original = space.acc.residual
+    monkeypatch.setattr(space.acc, "residual", lambda v: calls.append(v) or original(v))
+    first = space.residual_of(p)
+    first[0] = 99  # callers get a fresh dict each time
+    second = space.residual_of(parse_poly("((x1*x2)*x3) - (x2*(x1*x3))"))
+    assert second == original(space.vec(p)) and len(calls) == 1
+
+
+_CERT_VARIETIES = {"alt": (ALT, md(1, 1, 1)), "ncj_cor1": (builtin_variety("ncj_cor1"), md(2, 1))}
+_COEFFICIENTS = st.one_of(
+    st.integers(-10**30, 10**30).filter(bool),
+    st.fractions(max_denominator=10**12).filter(bool).map(QQ),
+)
+
+
+@st.composite
+def _certificates(draw):
+    name = draw(st.sampled_from(sorted(_CERT_VARIETIES)))
+    variety_, degree = _CERT_VARIETIES[name]
+    descs = list(consequence_generators(variety_, degree))
+    entries = draw(st.lists(st.tuples(st.sampled_from(descs), _COEFFICIENTS), max_size=6))
+    target = MultiPoly.zero()
+    for desc, c in entries:
+        target = target + expand_descriptor(variety_, desc).scale(c)
+    return variety_, MembershipCertificate(target, name, degree, entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_certificates())
+def test_certificate_write_matches_json_dump(tmp_path_factory, case):
+    variety_, cert = case
+    path = tmp_path_factory.mktemp("cert") / "c.json"
+    cert.write(str(path), variety_)
+    assert path.read_bytes() == json.dumps(cert.to_json(variety_), indent=1).encode()
+
+
+def test_certificate_write_covers_the_named_cases(tmp_path):
+    ncj = builtin_variety("ncj_cor1")
+    descs = [d for d in consequence_generators(ncj, md(2, 1, 1))]
+    by_identity = {d.identity_index: d for d in descs}
+    assert sorted(by_identity) == [0, 1, 2]
+    entries = [(by_identity[0], 3), (by_identity[1], QQ(-5, 7)), (by_identity[2], -2)]
+    cases = [MembershipCertificate(MultiPoly.zero(), "ncj_cor1", md(2, 1, 1), []),
+             MembershipCertificate(parse_poly("-1/2*((x1*x2)*x1)"), "ncj_cor1",
+                                   md(2, 1, 1), entries)]
+    for cert in cases:
+        path = tmp_path / "c.json"
+        cert.write(str(path), ncj)
+        assert path.read_bytes() == json.dumps(cert.to_json(ncj), indent=1).encode()
+
+
+_JSON_DOCS = st.recursive(
+    st.one_of(st.text(), st.integers()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(), _JSON_DOCS, max_size=5))
+def test_dump_indented_matches_json_dumps(doc):
+    fh = io.StringIO()
+    variety._dump_indented(doc, fh)
+    assert fh.getvalue() == json.dumps(doc, indent=1)
