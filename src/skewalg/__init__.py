@@ -11,7 +11,6 @@ from .linalg import EchelonAccumulator, SpanResult
 from .poly import (MultiPoly, ParseError, associator, commutator, format_poly,
                    jordan, multiply, parse_identity_file, parse_poly,
                    parse_word, substitute)
-from .rationals import QQ
 from .symmetrize import (alternate, collapse, is_skew_symmetric, linearize,
                          skew)
 from .variety import (ComponentSpace, GenDescriptor, MembershipCertificate,

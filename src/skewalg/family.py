@@ -19,13 +19,13 @@ so x^[2] = 2 x*x is nonzero while [t, t]_s = 0.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import comb
 
 from .config import DEFAULT_CONFIG
 from .poly import MultiPoly, _wrap, add_terms, multiply
-from .rationals import QQ
 from .symmetrize import as_one_variable, permutation_sign, skew
 from .variety import ComponentSpace, builtin_variety, component_space
 from .words import leaves
@@ -323,8 +323,7 @@ class SkewDecomposition:
     alpha: object = None
     beta: object = None    # None when the z term is absent or zero
     beta_free: bool = False
-    certificate: object = None  # membership certificate for the residual
-    residual: object = None     # fm - alpha*skew(x^[m]) - beta*skew(z^[m-2])
+    certificate: object = None  # target: fm - alpha*skew(x^[m]) - beta*skew(z^[m-2])
 
 
 def solve_skew_decomposition(m: int, config=DEFAULT_CONFIG) -> SkewDecomposition:
@@ -345,8 +344,8 @@ def solve_skew_decomposition(m: int, config=DEFAULT_CONFIG) -> SkewDecomposition
     coeffs, _ = quotient.express_in_span(space.residual_of(fm(m)))
     if coeffs is None:
         return SkewDecomposition(m, "no_solution")
-    alpha = QQ(coeffs.get(0, 0))
-    beta = QQ(coeffs.get(1, 0)) if z_independent else None
+    alpha = Fraction(coeffs.get(0, 0))
+    beta = Fraction(coeffs.get(1, 0)) if z_independent else None
     beta_free = (m - 2 >= 2) and not z_independent
 
     combo = s1.scale(alpha)
@@ -357,4 +356,4 @@ def solve_skew_decomposition(m: int, config=DEFAULT_CONFIG) -> SkewDecomposition
     if certificate is None:
         raise RuntimeError(
             f"residual escaped the saturated component at word {witness}")
-    return SkewDecomposition(m, "ok", alpha, beta, beta_free, certificate, residual)
+    return SkewDecomposition(m, "ok", alpha, beta, beta_free, certificate)

@@ -17,7 +17,7 @@ During a sweep W lives in a dense list of the accumulator's dimension,
 allocated per call, with a list of the columns it touched: one pass over R
 does the subtraction and queues each pivot column that W touches for the
 first time, so the sweep needs no second look at the row.  Remainders
-leave as exact rationals, int where integral.
+leave as exact Fractions, int where integral.
 
 Provenance is stored, not composed, at insert time, and in integers.  A
 sweep that eliminated pivot k with work entry w_k over denominator d_k and
@@ -47,9 +47,8 @@ pivots, which lie inside that prefix too.
 
 import heapq
 from collections import namedtuple
+from fractions import Fraction
 from math import gcd, lcm
-
-from .rationals import QQ
 
 SpanResult = namedtuple("SpanResult", "coefficients witness")
 """coefficients: {insertion id -> coefficient} when in span, else None;
@@ -57,8 +56,8 @@ witness: leading column of the nonzero remainder, else None."""
 
 
 def _ratio(n: int, d: int):
-    """Exact n/d: an int when d divides n, else QQ."""
-    return n // d if n % d == 0 else QQ(n, d)
+    """Exact n/d: an int when d divides n, else a Fraction."""
+    return n // d if n % d == 0 else Fraction(n, d)
 
 
 def _to_integers(vec: dict):
@@ -71,8 +70,8 @@ def _to_integers(vec: dict):
             for k, v in vec.items() if v}, d
 
 
-def _to_rationals(work: dict, d: int) -> dict:
-    """The exact rational dict W/d, int where integral."""
+def _from_integers(work: dict, d: int) -> dict:
+    """The exact dict W/d, int where integral."""
     if d == 1:
         return work
     return {k: _ratio(v, d) for k, v in work.items()}
@@ -187,7 +186,7 @@ class EchelonAccumulator:
     def residual(self, vec: dict) -> dict:
         """Remainder of vec modulo the current row space (a fresh dict)."""
         self._check_dim(vec)
-        return _to_rationals(*self._reduce(*_to_integers(vec), None))
+        return _from_integers(*self._reduce(*_to_integers(vec), None))
 
     def rereduce(self, residual: dict):
         """Re-reduce an externally held residual after new pivots appeared.
@@ -207,7 +206,7 @@ class EchelonAccumulator:
                     if k in rows:
                         stack.append(k)
         part = {k: residual.pop(k) for k in reach if k in residual}
-        residual.update(_to_rationals(*self._reduce(*_to_integers(part), None)))
+        residual.update(_from_integers(*self._reduce(*_to_integers(part), None)))
 
     def express_in_span(self, vec: dict) -> SpanResult:
         """Exact coefficients of vec over the inserted vectors, or a witness.

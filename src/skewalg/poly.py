@@ -13,15 +13,15 @@ with an optional leading '-' on the first term and the single token '0'
 for the zero polynomial.  format/parse round-trip exactly.
 
 Coefficients are exact: plain ints until a division happens (a '/' in the
-text, a rational scale factor, an echelon certificate), QQ rationals after.
-Integer work therefore never pays for rational normalisation.
+text, a rational scale factor, an echelon certificate), fractions.Fraction
+after.  Integer work therefore never pays for rational normalisation.
 """
 
 import gc
 import re
 from contextlib import contextmanager
+from fractions import Fraction
 
-from .rationals import QQ
 from .words import HOLE, degree, format_word, md_key, multidegree_of, relabel, sort_key
 
 
@@ -298,7 +298,7 @@ class _Parser:
             d = int(self.take())
             if d == 0:
                 raise ParseError("zero denominator")
-            return QQ(sign * n, d)
+            return Fraction(sign * n, d)
         return sign * n
 
     def term(self, sign):

@@ -1,6 +1,6 @@
 """Identity sets, T-ideal components, dimensions and membership certificates.
 
-A variety stores fully linearized identities (valid over the rationals:
+A variety stores fully linearized identities (valid in characteristic 0:
 the multilinear consequences span every multihomogeneous component).  The
 component of the T-ideal at a multidegree is spanned by the identities
 with monomials substituted for their variables, embedded in a one-hole
@@ -32,7 +32,9 @@ order expand_descriptor sums them.  Slot-orbit groups are keyed by ids.
 """
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm
@@ -41,7 +43,6 @@ from .config import DEFAULT_CONFIG, Config, ResourceLimitError
 from .linalg import EchelonAccumulator
 from .poly import (MultiPoly, add_terms, associator, commutator, format_poly,
                    multiply, parse_poly, parse_word, relabel_poly)
-from .rationals import QQ
 from .symmetrize import linearize
 from .words import (HOLE, _words_for, enumerate_words, format_word, md_key,
                     multidegree_of, relabel, word_count)
@@ -63,10 +64,6 @@ class Variety:
                 raise ValueError(f"identity {format_poly(f)} must use exactly x1..xk")
 
 
-def _x(i):
-    return MultiPoly.variable(i)
-
-
 def builtin_variety(name: str, identity_polys=None) -> Variety:
     """Named identity sets: assoc, alt, flex, ncj_cor1, free, custom.
 
@@ -75,7 +72,7 @@ def builtin_variety(name: str, identity_polys=None) -> Variety:
     """
     if identity_polys is not None and name != "custom":
         raise ValueError(f"only the custom variety takes identities, not {name!r}")
-    x1, x2, x3 = _x(1), _x(2), _x(3)
+    x1, x2, x3 = map(MultiPoly.variable, (1, 2, 3))
     if name == "assoc":
         return Variety("assoc", (associator(x1, x2, x3),))
     if name == "alt":
@@ -107,31 +104,10 @@ def builtin_variety(name: str, identity_polys=None) -> Variety:
     raise ValueError(f"unknown variety {name!r}")
 
 
-@dataclass(frozen=True)
-class GenDescriptor:
-    """One consequence generator: identity, slot monomials, one-hole context."""
-
-    identity_index: int
-    substitution: tuple  # word for identity variable i+1 at position i
-    context: object      # word with exactly one HOLE leaf; HOLE alone = no context
-
-    def to_json(self, identity: str, name=format_word) -> dict:
-        """identity: the text of the identity this descriptor names; name
-        formats a word."""
-        return {
-            "identity_index": self.identity_index,
-            "identity": identity,
-            "substitution": {f"x{i + 1}": name(w)
-                             for i, w in enumerate(self.substitution)},
-            "context": name(self.context),
-        }
-
-    @staticmethod
-    def from_json(doc: dict) -> "GenDescriptor":
-        subs = doc["substitution"]
-        words = tuple(parse_word(subs[f"x{i + 1}"]) for i in range(len(subs)))
-        return GenDescriptor(doc["identity_index"], words,
-                             parse_word(doc["context"], allow_hole=True))
+# One consequence generator: identity identity_index with the word
+# substitution[i] for its variable x(i+1), in context, a word with exactly
+# one HOLE leaf (HOLE alone is no context).
+GenDescriptor = namedtuple("GenDescriptor", "identity_index substitution context")
 
 
 def _expansion(variety: Variety, desc: GenDescriptor):
@@ -397,15 +373,25 @@ class MembershipCertificate:
             "variety": self.variety_name,
             "multidegree": {f"x{v}": e for v, e in sorted(self.multidegree.items())},
             "generators": [
-                {**desc.to_json(texts[desc.identity_index], name), "coefficient": str(c)}
-                for desc, c in self.entries
+                {"identity_index": idx,
+                 "identity": texts[idx],
+                 "substitution": {f"x{i + 1}": name(w) for i, w in enumerate(subs)},
+                 "context": name(ctx),
+                 "coefficient": str(c)}
+                for (idx, subs, ctx), c in self.entries
             ],
         }
 
     @staticmethod
     def from_json(doc: dict) -> "MembershipCertificate":
-        entries = [(GenDescriptor.from_json(g), QQ(g["coefficient"]))
-                   for g in doc["generators"]]
+        entries = []
+        for g in doc["generators"]:
+            subs = g["substitution"]
+            desc = GenDescriptor(
+                g["identity_index"],
+                tuple(parse_word(subs[f"x{i + 1}"]) for i in range(len(subs))),
+                parse_word(g["context"], allow_hole=True))
+            entries.append((desc, Fraction(g["coefficient"])))
         md = {int(k[1:]): v for k, v in doc["multidegree"].items()}
         return MembershipCertificate(parse_poly(doc["target"]), doc["variety"], md, entries)
 
@@ -547,8 +533,9 @@ class ComponentSpace:
         return acc
 
     def membership(self, p: MultiPoly):
-        """(member, certificate, witness_word): streams generators lazily and
-        stops as soon as the target falls into the accumulated span."""
+        """(certificate, None) for a member, else (None, witness_word), as
+        express gives; streams generators lazily and stops as soon as the
+        target falls into the accumulated span."""
         vec = self.vec(p)
         residual = self.acc.residual(vec)
         while residual and not self.exhausted:
@@ -558,9 +545,8 @@ class ComponentSpace:
             if self.acc.rank > before and self.acc.last_pivot in residual:
                 self.acc.rereduce(residual)
         if residual:
-            return False, None, self.ambient[min(residual)]
-        cert, _ = self.express(p)
-        return True, cert, None
+            return None, self.ambient[min(residual)]
+        return self.express(p)
 
     def express(self, p: MultiPoly):
         """Certificate entries for p over the generators inserted so far."""
@@ -612,8 +598,8 @@ def is_member(p: MultiPoly, variety: Variety, config=DEFAULT_CONFIG) -> Membersh
     certs = []
     for md, comp in sorted(p.homogeneous_components().items()):
         space = component_space(variety, dict(md), config)
-        ok, cert, witness = space.membership(comp)
-        if not ok:
+        cert, witness = space.membership(comp)
+        if cert is None:
             return MembershipResult(False, [], witness)
         certs.append(cert)
     return MembershipResult(True, certs, None)

@@ -47,14 +47,6 @@ class Report:
             "elapsed_ms": self.elapsed_ms,
         }
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
-
-
-def _variable(i):
-    return MultiPoly.variable(i)
-
 
 def _member_check(p, variety_name, config):
     """Shared body for the membership-style checks."""
@@ -84,17 +76,17 @@ def check_lemma1(params, config):
 
 
 def check_eq1(params, config):
-    x, y = _variable(1), _variable(2)
+    x, y = map(MultiPoly.variable, (1, 2))
     p = commutator(multiply(x, x), y) - jordan(x, commutator(x, y))
     return _member_check(p, "flex", config)
 
 
 def check_lemma2(params, config):
     m = params["m"]
-    x = _variable(1)
+    x = MultiPoly.variable(1)
     assignment = {1: multiply(x, x), 2: x}
     for slot in range(3, m + 1):
-        assignment[slot] = _variable(slot - 1)
+        assignment[slot] = MultiPoly.variable(slot - 1)
     p = substitute(fm(m), assignment)
     verdict, details, certs = _member_check(p, "flex", config)
     details["m"] = m
@@ -104,8 +96,8 @@ def check_lemma2(params, config):
 def check_eq4(params, config):
     k = params["k"]
     f = fm(k + 1)
-    x, y, z = _variable(1), _variable(2), _variable(3)
-    extras = {slot: _variable(slot + 2) for slot in range(2, k + 1)}
+    x, y, z = map(MultiPoly.variable, (1, 2, 3))
+    extras = {slot: MultiPoly.variable(slot + 2) for slot in range(2, k + 1)}
     a = substitute(f, {1: jordan(x, y), **extras, k + 1: z})
     b = substitute(f, {1: x, **extras, k + 1: jordan(z, y)})
     c = substitute(f, {1: y, **extras, k + 1: jordan(z, x)})
@@ -276,8 +268,8 @@ def check_eq6(params, config):
     for i, j in combinations(range(1, m + 1), 2):
         rest = (k for k in range(1, m + 1) if k != i and k != j)
         inner = relabel_poly(fm(m - 2), dict(enumerate(rest, start=1)))
-        terms.append((1 if (i + j) % 2 == 0 else -1,
-                      commutator(inner, commutator(_variable(i), _variable(j)))))
+        xi, xj = map(MultiPoly.variable, (i, j))
+        terms.append((1 if (i + j) % 2 == 0 else -1, commutator(inner, commutator(xi, xj))))
     bracket_sum = MultiPoly.from_pairs((w, sign * c) for sign, term in terms
                                        for w, c in term.terms.items())
 
@@ -381,37 +373,23 @@ def check_engine_soundness(params, config):
 class CheckDef:
     runner: object
     defaults: dict
-    description: str
 
 
 CHECKS = {
-    "lemma1": CheckDef(check_lemma1, {"m": 5},
-                       "fm(m) is skew-symmetric in the free magma (one pass)"),
-    "eq1": CheckDef(check_eq1, {},
-                    "[x^2,y] - x o [x,y] lies in the flexible T-ideal"),
-    "lemma2": CheckDef(check_lemma2, {"m": 4},
-                       "fm(m)(x^2, x, ...) lies in the flexible T-ideal"),
-    "eq4": CheckDef(check_eq4, {"k": 2},
-                    "the Jordan-shift linearization lies in the flexible T-ideal"),
-    "fm_nonzero": CheckDef(check_fm_nonzero, {"m": 3},
-                           "fm(m) stays outside the alternative T-ideal"),
-    "skew_dim": CheckDef(check_skew_dim, {"d": 4},
-                         "skew subspace dimension matches the catalogue count"),
-    "cor2_assoc": CheckDef(check_cor2_assoc, {"degree_bound": 3},
-                           "fm(6) vanishes under two-letter associative evaluation"),
-    "cor2_assoc_probe": CheckDef(check_cor2_assoc_probe, {"degree_bound": 3},
-                                 "exploratory: fm(5) under the same evaluation"),
-    "assoc_projection": CheckDef(check_assoc_projection, {"d": 9},
-                                 "bracket words project to 0; skew powers hit 2^m S_n"),
-    "lemma3": CheckDef(check_lemma3, {"m": 4},
-                       "fm(m) = alpha Skew x^[m] + beta Skew z^[m-2] mod alt"),
-    "eq6": CheckDef(check_eq6, {"m": 4},
-                    "Skew x^[m] decomposes over fm(m) and double brackets mod alt"),
-    "cor4_tiny": CheckDef(check_cor4_tiny, {},
-                          "Skew x^[4] dies under one-generator commutative evaluation"),
+    "lemma1": CheckDef(check_lemma1, {"m": 5}),
+    "eq1": CheckDef(check_eq1, {}),
+    "lemma2": CheckDef(check_lemma2, {"m": 4}),
+    "eq4": CheckDef(check_eq4, {"k": 2}),
+    "fm_nonzero": CheckDef(check_fm_nonzero, {"m": 3}),
+    "skew_dim": CheckDef(check_skew_dim, {"d": 4}),
+    "cor2_assoc": CheckDef(check_cor2_assoc, {"degree_bound": 3}),
+    "cor2_assoc_probe": CheckDef(check_cor2_assoc_probe, {"degree_bound": 3}),
+    "assoc_projection": CheckDef(check_assoc_projection, {"d": 9}),
+    "lemma3": CheckDef(check_lemma3, {"m": 4}),
+    "eq6": CheckDef(check_eq6, {"m": 4}),
+    "cor4_tiny": CheckDef(check_cor4_tiny, {}),
     "engine_soundness": CheckDef(check_engine_soundness,
-                                 {"n_certificates": 200, "n_shuffles": 20, "n_sets": 10},
-                                 "dimension table, certificate and shuffle properties"),
+                                 {"n_certificates": 200, "n_shuffles": 20, "n_sets": 10}),
 }
 
 

@@ -51,25 +51,12 @@ def sort_key(w):
     return (degree(w), format_word(w))
 
 
-def relabel(w, mapping, shared=None):
+def relabel(w, mapping):
     """Rebuild w with each leaf v replaced by mapping.get(v, v); an image may
-    be a word (a monomial for a variable, a word for the hole) and is kept.
-
-    With a dict shared, an internal node object met again maps to the image
-    already built for it, keyed by id(node), so subtrees shared in the input
-    stay shared in the output.  One shared dict serves one mapping, and the
-    caller keeps every input word alive while shared lives: an id names an
-    object only as long as it exists.
-    """
+    be a word (a monomial for a variable, a word for the hole) and is kept."""
     if isinstance(w, int):
         return mapping.get(w, w)
-    if shared is None:
-        return (relabel(w[0], mapping), relabel(w[1], mapping))
-    image = shared.get(id(w))
-    if image is None:
-        image = shared[id(w)] = (relabel(w[0], mapping, shared),
-                                 relabel(w[1], mapping, shared))
-    return image
+    return (relabel(w[0], mapping), relabel(w[1], mapping))
 
 
 def md_key(md) -> tuple:

@@ -13,10 +13,11 @@ check the engine's dense sweep and integer provenance value for value.
 WordPathSaturation is the saturation with generators expanded word by
 word, used to check the engine's word table insertion for insertion.
 fm_by_substitution builds f_m with polynomial substitution and
-fm_by_relabel with one relabel per term, both separate from
-skewalg.family's flattened relabelling, and alternate_by_relabel
-alternates term by term, separate from skewalg.symmetrize's per-shape
-alternation.
+fm_by_relabel with one relabel_shared per term, both separate from
+skewalg.family's flattened relabelling; relabel_shared is words.relabel
+with subtrees shared in the input kept shared in the output.
+alternate_by_relabel alternates term by term, separate from
+skewalg.symmetrize's per-shape alternation.
 """
 
 import heapq
@@ -27,7 +28,6 @@ from math import gcd, lcm
 
 from skewalg.linalg import EchelonAccumulator
 from skewalg.poly import MultiPoly, add_terms, commutator, substitute
-from skewalg.rationals import QQ
 from skewalg.variety import _slot_orbits, consequence_generators, expand_descriptor
 from skewalg.words import enumerate_words, relabel
 
@@ -168,7 +168,7 @@ class EagerProvenanceEchelon:
 
 
 def _ratio(n, d):
-    return n // d if n % d == 0 else QQ(n, d)
+    return n // d if n % d == 0 else Fraction(n, d)
 
 
 class DictSweepEchelon:
@@ -332,8 +332,23 @@ def fm_by_substitution(m: int) -> MultiPoly:
     return MultiPoly(acc)
 
 
+def relabel_shared(w, mapping, shared: dict):
+    """words.relabel(w, mapping), except that an internal node object met
+    again maps to the image already built for it, keyed by id(node), so
+    subtrees shared in the input stay shared in the output.  One shared
+    dict serves one mapping, and the caller keeps every input word alive
+    while shared lives: an id names an object only as long as it exists."""
+    if isinstance(w, int):
+        return mapping.get(w, w)
+    image = shared.get(id(w))
+    if image is None:
+        image = shared[id(w)] = (relabel_shared(w[0], mapping, shared),
+                                 relabel_shared(w[1], mapping, shared))
+    return image
+
+
 def fm_by_relabel(m: int) -> MultiPoly:
-    """f_m by the relabelling recursion, one relabel per term and pair:
+    """f_m by the relabelling recursion, one relabel_shared per term and pair:
     [xi, xj] for x1 is x1 -> (xi xj) and x1 -> -(xj xi).  Not cached, so
     fm(7) lives only as long as the caller keeps it."""
     if m < 1:
@@ -349,7 +364,8 @@ def fm_by_relabel(m: int) -> MultiPoly:
                                       start=2))
                 for first, s in (((i, j), sign), ((j, i), -sign)):
                     mapping, shared = {1: first, **rest}, {}  # prev keeps its words alive
-                    add_terms(acc, ((relabel(w, mapping, shared), s * c) for w, c in prev))
+                    add_terms(acc, ((relabel_shared(w, mapping, shared), s * c)
+                                    for w, c in prev))
         f = MultiPoly(acc)
     return f
 

@@ -16,6 +16,9 @@ must return the cached space, or variety.cache_hit_ratio would read 0; the
 alternating checks reach their space through family.alternating_space,
 which must look it up through that traced name on every call and keep no
 cache of its own, or the ratio would miss their lookups or their hits.
+variety.cert_entries is counted where MembershipCertificate.write calls
+the traced to_json, so a writer that emitted the file without it would
+read zero entries.
 """
 
 import os
@@ -94,3 +97,18 @@ def test_tracer_counts_nested_term_builders():
     terms_out, skew_terms = map(int, terms.split())
     assert terms_out == 2 * skew_terms  # skew and the alternate inside it
     assert fm_built == "(1, 1) (2, 2) (3, 12) (4, 96) (5, 1440)"
+
+
+def test_tracer_counts_written_certificate_entries(tmp_path):
+    out = _run_traced(
+        "import json\n"
+        "tr = tracing.Tracer()\n"
+        "tracing.install(tr)\n"
+        "tr.enabled = True\n"
+        f"config = skewalg.Config(certificate_directory={str(tmp_path)!r})\n"
+        "(path,) = skewalg.verify('lemma3', {'m': 5}, config).certificates\n"
+        "with open(path) as fh:\n"
+        "    written = len(json.load(fh)['generators'])\n"
+        "print(tr.cert_entries, written)\n")
+    counted, written = map(int, out.split())
+    assert counted == written > 0  # m=5: lemma3 m=4's certificate has no entries

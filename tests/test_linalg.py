@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,19 +8,18 @@ from hypothesis import strategies as st
 
 from oracles import DictSweepEchelon, EagerProvenanceEchelon, dense_express, dense_rank
 from skewalg.linalg import EchelonAccumulator
-from skewalg.rationals import QQ
 from skewalg.variety import ComponentSpace, builtin_variety
 
 
 def test_insert_rank_examples():
     acc = EchelonAccumulator(2)
-    assert acc.insert_reduce({0: QQ(1)}) is True
-    assert acc.insert_reduce({1: QQ(1)}) is True
+    assert acc.insert_reduce({0: Fraction(1)}) is True
+    assert acc.insert_reduce({1: Fraction(1)}) is True
     assert acc.rank == 2
 
     acc = EchelonAccumulator(2)
-    assert acc.insert_reduce({0: QQ(1), 1: QQ(1)}) is True
-    assert acc.insert_reduce({0: QQ(2), 1: QQ(2)}) is False
+    assert acc.insert_reduce({0: Fraction(1), 1: Fraction(1)}) is True
+    assert acc.insert_reduce({0: Fraction(2), 1: Fraction(2)}) is False
     assert acc.rank == 1
 
     before = acc.rank
@@ -29,12 +29,12 @@ def test_insert_rank_examples():
 
 def test_express_examples():
     acc = EchelonAccumulator(2)
-    acc.insert_reduce({0: QQ(1), 1: QQ(1)})
-    coeffs, witness = acc.express_in_span({0: QQ(3), 1: QQ(3)})
+    acc.insert_reduce({0: Fraction(1), 1: Fraction(1)})
+    coeffs, witness = acc.express_in_span({0: Fraction(3), 1: Fraction(3)})
     assert witness is None
-    assert coeffs == {0: QQ(3)}
+    assert coeffs == {0: Fraction(3)}
 
-    coeffs, witness = acc.express_in_span({0: QQ(1)})
+    coeffs, witness = acc.express_in_span({0: Fraction(1)})
     assert coeffs is None
     assert witness == 1  # remainder leads at column 1 after eliminating col 0
 
@@ -45,7 +45,7 @@ def test_express_examples():
 def test_dimension_checks():
     acc = EchelonAccumulator(3)
     with pytest.raises(ValueError):
-        acc.insert_reduce({5: QQ(1)})
+        acc.insert_reduce({5: Fraction(1)})
     with pytest.raises(ValueError):
         EchelonAccumulator(-1)
 
@@ -55,7 +55,7 @@ def _random_vecs(rng, dim, count):
     for _ in range(count):
         v = {}
         for _ in range(rng.randint(1, min(dim, 7))):
-            v[rng.randrange(dim)] = QQ(rng.randint(-6, 6), rng.randint(1, 4))
+            v[rng.randrange(dim)] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         vecs.append({k: c for k, c in v.items() if c})
     return vecs
 
@@ -70,7 +70,7 @@ def test_reexpansion_exactness():
             acc.insert_reduce(v)
         # random combination of inserted vectors must express exactly
         target = {}
-        chosen = {i: QQ(rng.randint(-5, 5)) for i in rng.sample(range(len(vecs)),
+        chosen = {i: Fraction(rng.randint(-5, 5)) for i in rng.sample(range(len(vecs)),
                                                                 rng.randint(1, len(vecs)))}
         for i, c in chosen.items():
             for k, val in vecs[i].items():
@@ -142,7 +142,7 @@ def test_rank_insertion_order_invariance():
 def _normalised(row):
     """A stored integer row divided by its lead: 1 at the pivot."""
     lead = row[min(row)]
-    return {k: QQ(v, lead) for k, v in row.items()}
+    return {k: Fraction(v, lead) for k, v in row.items()}
 
 
 def test_rows_lead_at_pivot_with_unit_coefficient():
@@ -210,8 +210,8 @@ def test_dense_sweep_matches_dict_sweep_oracle(name, degree):
     assert acc.rows == oracle.rows
     assert list(acc.rows) == list(oracle.rows)  # pivots in the same order
     for pivot, (ins_id, d, lead) in acc.pivot_source.items():
-        assert (ins_id, QQ(d, lead)) == oracle.pivot_source[pivot]
-        assert ({k: QQ(m, d) for k, m in acc.provenance[pivot].items()}
+        assert (ins_id, Fraction(d, lead)) == oracle.pivot_source[pivot]
+        assert ({k: Fraction(m, d) for k, m in acc.provenance[pivot].items()}
                 == oracle.provenance[pivot])
     assert acc.pivot_source.keys() == oracle.pivot_source.keys()
 
@@ -220,7 +220,7 @@ def test_dense_sweep_matches_dict_sweep_oracle(name, degree):
     rng = random.Random(f"sweep-{name}-{degree}")
     dim = len(space.ambient)
     vecs = _random_vecs(rng, dim, 10) + [
-        {k: QQ(rng.randint(-3, 3), rng.randint(1, 3)) for k in v} for v in inserted[:5]]
+        {k: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for k in v} for v in inserted[:5]]
     half = EchelonAccumulator(dim)
     for v in inserted[:len(inserted) // 2]:
         half.insert_reduce(v)
@@ -241,7 +241,7 @@ def test_explicit_zero_entries_are_ignored():
     assert acc.insert_reduce({0: 0}) is False
     assert acc.rank == 1
     assert acc.express_in_span({1: 0}) == ({}, None)
-    assert acc.residual({0: 0, 2: QQ(0)}) == {}
+    assert acc.residual({0: 0, 2: Fraction(0)}) == {}
 
 
 @st.composite
@@ -249,7 +249,7 @@ def _vector_sets(draw):
     """(dimension, sparse rational vectors, target); the target is either a
     combination of the vectors or arbitrary."""
     dim = draw(st.integers(1, 10))
-    coeff = st.builds(QQ, st.integers(-12, 12).filter(bool), st.integers(1, 6))
+    coeff = st.builds(Fraction, st.integers(-12, 12).filter(bool), st.integers(1, 6))
     vector = st.dictionaries(st.integers(0, dim - 1), coeff, max_size=min(dim, 6))
     vecs = draw(st.lists(vector, min_size=1, max_size=12))
     if draw(st.booleans()):
@@ -270,9 +270,10 @@ def _vector_sets(draw):
 @given(_vector_sets())
 # column 2 cancels when pivot 0 is eliminated and comes back with pivot 1;
 # pivot 3 then has lead 2, so the work vector is scaled, column 2 once
-@example((5, [{0: QQ(1), 2: QQ(1)}, {1: QQ(1), 2: QQ(-1)}, {3: QQ(2), 4: QQ(1)},
-              {0: QQ(1), 1: QQ(1), 2: QQ(1), 3: QQ(1)}],
-          {0: QQ(1), 1: QQ(1), 2: QQ(1), 3: QQ(1)}))
+@example((5, [{0: Fraction(1), 2: Fraction(1)}, {1: Fraction(1), 2: Fraction(-1)},
+              {3: Fraction(2), 4: Fraction(1)},
+              {0: Fraction(1), 1: Fraction(1), 2: Fraction(1), 3: Fraction(1)}],
+          {0: Fraction(1), 1: Fraction(1), 2: Fraction(1), 3: Fraction(1)}))
 def test_dense_sweep_matches_dict_sweep_oracle_on_random_vectors(case):
     dim, vecs, target = case
     acc, oracle = EchelonAccumulator(dim), DictSweepEchelon()
@@ -281,8 +282,8 @@ def test_dense_sweep_matches_dict_sweep_oracle_on_random_vectors(case):
         assert acc.residual(target) == oracle.residual(target)
     assert acc.rows == oracle.rows
     for pivot, (ins_id, d, lead) in acc.pivot_source.items():
-        assert (ins_id, QQ(d, lead)) == oracle.pivot_source[pivot]
-        assert ({k: QQ(m, d) for k, m in acc.provenance[pivot].items()}
+        assert (ins_id, Fraction(d, lead)) == oracle.pivot_source[pivot]
+        assert ({k: Fraction(m, d) for k, m in acc.provenance[pivot].items()}
                 == oracle.provenance[pivot])
 
 
@@ -290,28 +291,30 @@ def test_dense_sweep_matches_dict_sweep_oracle_on_random_vectors(case):
 @given(_vector_sets())
 # a lead of 2 met by odd entries scaled from 1/2 and 1/4: both the lcm entry scaling
 # and the non-unit elimination branch run
-@example((3, [{0: QQ(2), 1: QQ(1)}, {0: QQ(1, 2), 1: QQ(5), 2: QQ(1, 3)}],
-          {0: QQ(1, 4), 1: QQ(7, 4), 2: QQ(1)}))
+@example((3, [{0: Fraction(2), 1: Fraction(1)},
+              {0: Fraction(1, 2), 1: Fraction(5), 2: Fraction(1, 3)}],
+          {0: Fraction(1, 4), 1: Fraction(7, 4), 2: Fraction(1)}))
 # column 2 cancels when pivot 0 is eliminated and comes back with pivot 1, so
 # it sits on the heap twice and the second entry is stale
-@example((4, [{0: QQ(1), 2: QQ(1)}, {1: QQ(1), 2: QQ(-1)}, {2: QQ(1), 3: QQ(1)},
-              {0: QQ(1), 1: QQ(1), 2: QQ(1)}],
-          {0: QQ(1), 1: QQ(1), 2: QQ(1)}))
+@example((4, [{0: Fraction(1), 2: Fraction(1)}, {1: Fraction(1), 2: Fraction(-1)},
+              {2: Fraction(1), 3: Fraction(1)}, {0: Fraction(1), 1: Fraction(1), 2: Fraction(1)}],
+          {0: Fraction(1), 1: Fraction(1), 2: Fraction(1)}))
 # a dependent insertion, and a target, that are 1/3 of the normalised row: the
 # multiplier w/d = 2/6 is formed only by express_in_span
-@example((2, [{0: QQ(2), 1: QQ(1)}, {0: QQ(1, 3), 1: QQ(1, 6)}],
-          {0: QQ(1, 3), 1: QQ(1, 6)}))
+@example((2, [{0: Fraction(2), 1: Fraction(1)}, {0: Fraction(1, 3), 1: Fraction(1, 6)}],
+          {0: Fraction(1, 3), 1: Fraction(1, 6)}))
 # a raw lead of 2 whose remainder has content 2: the stored row is (1, 2)
 # and the pivot keeps (d, L) = (1, 2)
-@example((2, [{0: QQ(2), 1: QQ(4)}], {0: QQ(2), 1: QQ(4)}))
+@example((2, [{0: Fraction(2), 1: Fraction(4)}], {0: Fraction(2), 1: Fraction(4)}))
 # the newest pivot's lead divides its weight, the older pivot's lead 2 does
 # not: the common denominator grows partway through the back-substitution
 # and the coefficient already settled is rescaled with it
-@example((3, [{0: QQ(2), 1: QQ(2)}, {1: QQ(1), 2: QQ(1)}], {0: QQ(1), 2: QQ(-1)}))
+@example((3, [{0: Fraction(2), 1: Fraction(2)}, {1: Fraction(1), 2: Fraction(1)}],
+          {0: Fraction(1), 2: Fraction(-1)}))
 # a negative raw lead -2 after one elimination, and the target
 # (v0 + v1) / 2, whose weight -1 on that pivot the lead does not divide
-@example((3, [{0: QQ(1), 1: QQ(1)}, {0: QQ(1), 1: QQ(-1), 2: QQ(2)}],
-          {0: QQ(1), 2: QQ(1)}))
+@example((3, [{0: Fraction(1), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(-1), 2: Fraction(2)}],
+          {0: Fraction(1), 2: Fraction(1)}))
 def test_deferred_provenance_matches_eager_oracle(case):
     dim, vecs, target = case
     acc = EchelonAccumulator(dim)

@@ -1,5 +1,6 @@
 import gc
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,6 @@ from skewalg.poly import (MultiPoly, ParseError, add_terms, associator,
                           commutator, format_poly, jordan, multiply,
                           parse_identity_file, parse_poly, parse_word,
                           relabel_poly, substitute)
-from skewalg.rationals import QQ
 from skewalg.symmetrize import linearize, skew
 from skewalg.words import enumerate_words
 
@@ -21,7 +21,7 @@ x3 = MultiPoly.variable(3)
 
 def test_multiply_words():
     assert multiply(x1, x2) == MultiPoly.monomial((1, 2))
-    assert multiply(x1 + x2, x1) == MultiPoly({(1, 1): QQ(1), (2, 1): QQ(1)})
+    assert multiply(x1 + x2, x1) == MultiPoly({(1, 1): Fraction(1), (2, 1): Fraction(1)})
     assert multiply(MultiPoly.zero(), x1).is_zero()
 
 
@@ -63,7 +63,7 @@ def test_substitute_distributes_over_multiply():
     words = enumerate_words({1: 1, 2: 1}) + enumerate_words({1: 2})
 
     def rand_poly():
-        return MultiPoly({rng.choice(words): QQ(rng.randint(-3, 3))
+        return MultiPoly({rng.choice(words): Fraction(rng.randint(-3, 3))
                           for _ in range(rng.randint(1, 3))})
 
     assignment = {1: parse_poly("(x1*x2) + x3"), 2: parse_poly("2*x1")}
@@ -91,9 +91,9 @@ def test_parse_format_roundtrip_examples():
     assert format_poly(MultiPoly.zero()) == "0"
     assert parse_poly("0").is_zero()
     neg = parse_poly("-1*x1")
-    assert neg == MultiPoly({1: QQ(-1)})
+    assert neg == MultiPoly({1: Fraction(-1)})
     assert parse_poly(format_poly(neg)) == neg
-    assert parse_poly("x1 + x1") == MultiPoly({1: QQ(2)})
+    assert parse_poly("x1 + x1") == MultiPoly({1: Fraction(2)})
     assert parse_poly("x1 - x1").is_zero()
 
 
@@ -104,7 +104,7 @@ def test_roundtrip_random():
     for _ in range(50):
         terms = {}
         for _ in range(rng.randint(1, 6)):
-            terms[rng.choice(words)] = QQ(rng.randint(-20, 20), rng.randint(1, 7))
+            terms[rng.choice(words)] = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
         p = MultiPoly(terms)
         assert parse_poly(format_poly(p)) == p
 
@@ -153,9 +153,9 @@ def test_homogeneous_components_and_multilinearity():
 
 def test_scalar_arithmetic():
     p = parse_poly("(x1*x2) - 2*(x2*x1)")
-    assert p.scale(QQ(1, 2)) == parse_poly("1/2*(x1*x2) - (x2*x1)")
+    assert p.scale(Fraction(1, 2)) == parse_poly("1/2*(x1*x2) - (x2*x1)")
     assert (-p) + p == MultiPoly.zero()
-    assert QQ(3) * p == p.scale(3)
+    assert Fraction(3) * p == p.scale(3)
     assert relabel_poly(p, {1: 2, 2: 1}) == parse_poly("(x2*x1) - 2*(x1*x2)")
 
 
@@ -164,7 +164,7 @@ def _start_and_pairs(draw):
     """A zero-free start dict and (key, int or rational) pairs in which some
     keys are forced to cancel exactly."""
     coeff = st.one_of(st.integers(-4, 4),
-                      st.builds(QQ, st.integers(-4, 4), st.integers(1, 3)))
+                      st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
     start = draw(st.dictionaries(st.integers(0, 5), coeff.filter(bool), max_size=4))
     pairs = draw(st.lists(st.tuples(st.integers(0, 5), coeff), max_size=20))
     totals = dict(start)
@@ -196,7 +196,7 @@ def test_integer_work_keeps_int_coefficients():
     for p in integral:
         assert p and all(type(c) is int for c in p.terms.values())
     half = parse_poly("1/2*x1")
-    assert type(half.terms[1]) is not int and half.terms[1] == QQ(1, 2)
+    assert type(half.terms[1]) is not int and half.terms[1] == Fraction(1, 2)
     assert format_poly(integral[3]) == "-1*x3 + 2*(x1*x2)"
     assert format_poly(half) == "1/2*x1"
     assert format_poly(skew(x_bracket(3).poly)) == (

@@ -1,12 +1,7 @@
 from fractions import Fraction
 
-import skewalg
 from skewalg.linalg import _ratio
 from skewalg.poly import format_poly, parse_poly
-
-
-def test_qq_is_fraction():
-    assert skewalg.QQ is Fraction
 
 
 def test_ratio_is_exact_and_int_where_integral():

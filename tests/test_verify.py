@@ -7,7 +7,7 @@ import pytest
 from skewalg.config import Config
 from skewalg.poly import MultiPoly
 from skewalg.variety import MembershipCertificate, builtin_variety
-from skewalg.verify import CHECKS, DESK_SUITE, Report, verify
+from skewalg.verify import CHECKS, DESK_SUITE, verify
 
 
 def test_registry_names():
@@ -121,9 +121,3 @@ def test_desk_suite_layout():
     for name, params in DESK_SUITE:
         assert name in CHECKS
         assert set(params) <= set(CHECKS[name].defaults)
-
-
-def test_report_passed_property():
-    assert Report("x", {}, "pass").passed
-    assert not Report("x", {}, "fail").passed
-    assert not Report("x", {}, "resource_limit").passed

