@@ -11,13 +11,14 @@ No 1/n! normalization is applied anywhere, so integral inputs stay
 integral and certificates remain exact.
 
 alternate, and with it skew, fills each bracketing shape by recursion over
-its tree: a node's word list is the product of its children's lists over
-every split of its variables, memoised per subshape and variable set.  So
-every distinct subword is one tuple, shared by all the words that hold it,
-and the collector has far fewer objects to track.
+its tree: a node's words, kept in one list per sign, are the products of
+its children's lists over every split of its variables, memoised per
+subshape and variable set.  So every distinct subword is one tuple, shared
+by all the words that hold it, and the collector has far fewer objects to
+track.  is_skew_symmetric splits each shared subword object once per call.
 """
 
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product, repeat
 from math import factorial
 
 from .poly import MultiPoly, _wrap, add_terms, gc_paused, relabel_poly
@@ -114,11 +115,10 @@ def alternate(p: MultiPoly) -> MultiPoly:
             if shape == 1:  # the one-leaf shape: p is c * x_v
                 out[variables[0]] = c
                 continue
-            for cross, (left_signs, left), (right_signs, right) in _splits(
-                    relabel(shape, blank), variables, memo):
-                scaled = [cross * c * s for s in left_signs]
-                out.update(zip(product(left, right),
-                               [s * t for s in scaled for t in right_signs]))
+            plus, minus = repeat(c), repeat(-c)
+            for positive, negative in _splits(relabel(shape, blank), variables, memo):
+                out.update(zip(positive, plus))
+                out.update(zip(negative, minus))
     return _wrap(out)
 
 
@@ -127,42 +127,45 @@ def _splits(skeleton, variables, memo):
 
     Positions run left to right, so the left child, with a leaves, takes
     the first a positions.  For each a-subset S of variables (by indices)
-    this yields the cross sign (-1)^(sum of S's indices - a(a-1)/2), which
-    is the sign of the shuffle putting S before the rest, and the fillings
-    of the left child from S and of the right child from the rest.
+    the left child is filled from S and the right child from the rest, and
+    the shuffle putting S before the rest has the cross sign
+    (-1)^(sum of S's indices - a(a-1)/2).  A product of two fillings has
+    the sign of its children's signs and the cross sign multiplied, so
+    each split yields two iterators: its words of sign +1, then of -1.
     """
     left, right = skeleton
     a = degree(left)
     offset = a * (a - 1) // 2
     indices = range(len(variables))
     for chosen in combinations(indices, a):
-        cross = -1 if (sum(chosen) - offset) % 2 else 1
-        rest = tuple(variables[i] for i in indices if i not in chosen)
-        yield (cross, _fill(left, tuple(variables[i] for i in chosen), memo),
-               _fill(right, rest, memo))
+        left_pos, left_neg = _fill(left, tuple(variables[i] for i in chosen), memo)
+        right_pos, right_neg = _fill(
+            right, tuple(variables[i] for i in indices if i not in chosen), memo)
+        same = chain(product(left_pos, right_pos), product(left_neg, right_neg))
+        mixed = chain(product(left_pos, right_neg), product(left_neg, right_pos))
+        yield (mixed, same) if (sum(chosen) - offset) % 2 else (same, mixed)
 
 
 def _fill(skeleton, variables, memo):
-    """(signs, words): fill(skeleton, t) over every ordering t of variables.
+    """(positive, negative): fill(skeleton, t) over every ordering t of
+    variables, split by sgn(t).
 
-    skeleton is a shape with every leaf 0 and variables a sorted tuple;
-    signs[k] is sgn(t) of words[k].  Memoised on (skeleton, variables), so a
-    subword is built once per call of alternate however many words hold it.
-    The lists are parallel rather than a list of pairs, which would be one
-    more tuple per word for the collector to track.
+    skeleton is a shape with every leaf 0 and variables a sorted tuple.
+    Memoised on (skeleton, variables), so a subword is built once per call
+    of alternate however many words hold it.  Keeping one list per sign,
+    rather than a sign beside each word, stores no sign per word and lets
+    every product of two lists take one sign.
     """
     key = (skeleton, variables)
     hit = memo.get(key)
     if hit is None:
         if skeleton == 0:
-            hit = [1], [variables[0]]
+            hit = [variables[0]], []
         else:
-            signs, words = [], []
-            for cross, (left_signs, left), (right_signs, right) in _splits(
-                    skeleton, variables, memo):
-                words.extend(product(left, right))
-                signs.extend(cross * s * t for s in left_signs for t in right_signs)
-            hit = signs, words
+            hit = [], []
+            for positive, negative in _splits(skeleton, variables, memo):
+                hit[0].extend(positive)
+                hit[1].extend(negative)
         memo[key] = hit
     return hit
 
@@ -170,37 +173,64 @@ def _fill(skeleton, variables, memo):
 def is_skew_symmetric(p: MultiPoly) -> bool:
     """Whether every transposition of two variables negates p, in one pass.
 
-    Each term splits into its positional shape and its leaf order.  p passes
+    Each term splits into its bracketing shape and its leaf order.  p passes
     when every leaf order is a permutation of one variable set, when
     sgn(order) * coefficient is the same on every term of a shape (so each
     coefficient is sgn(order) times that of the shape's ascending word), and
     when each shape occurs with all n! orders.  In characteristic 0 this is
     equivalent to p being multilinear with every collapse(p, i, j) zero; the
     zero polynomial passes.
+
+    A node's shape is numbered by its children's shape numbers and its leaf
+    order is theirs joined, so each subword object is split once per call
+    however many words hold it (see _split).
     """
+    numbers = {}  # (left shape, right shape) -> shape number; a leaf is shape 0
+    memo = {}     # id of a subword object -> _split of it; p keeps them alive
     signs = {}    # leaf order -> its sign, once checked against the variables
-    shapes = {}   # positional shape -> [sgn(order) * coefficient, orders seen]
+    shapes = {}   # shape number -> [sgn(order) * coefficient, orders seen]
     variables = None
-    for w, c in p.terms.items():
-        order = []
-        shape = _positional(w, order)
-        order = tuple(order)
-        sign = signs.get(order)
-        if sign is None:
-            if variables is None:
-                variables = sorted(set(order))
-            if sorted(order) != variables:
+    with gc_paused():
+        for w, c in p.terms.items():
+            shape, order = _split(w, memo, numbers)
+            sign = signs.get(order)
+            if sign is None:
+                if variables is None:
+                    variables = sorted(set(order))
+                if sorted(order) != variables:
+                    return False
+                sign = signs[order] = permutation_sign(order)
+            entry = shapes.get(shape)
+            if entry is None:
+                shapes[shape] = [sign * c, 1]
+            elif entry[0] != sign * c:
                 return False
-            sign = signs[order] = permutation_sign(order)
-        entry = shapes.get(shape)
-        if entry is None:
-            shapes[shape] = [sign * c, 1]
-        elif entry[0] != sign * c:
-            return False
-        else:
-            entry[1] += 1
+            else:
+                entry[1] += 1
     n_orders = factorial(len(variables or ()))
     return all(count == n_orders for _, count in shapes.values())
+
+
+def _split(w, memo, numbers):
+    """(shape number, leaf order) of w, from its children's.
+
+    Each child's pair is kept in memo under the child's id; w's own is not,
+    as a term's word is met once.  numbers assigns each new pair of child
+    shape numbers the next number.
+    """
+    if isinstance(w, int):
+        return 0, (w,)
+    left, right = w
+    left_split, right_split = memo.get(id(left)), memo.get(id(right))
+    if left_split is None:
+        left_split = memo[id(left)] = _split(left, memo, numbers)
+    if right_split is None:
+        right_split = memo[id(right)] = _split(right, memo, numbers)
+    key = left_split[0], right_split[0]
+    shape = numbers.get(key)
+    if shape is None:
+        shape = numbers[key] = len(numbers) + 1
+    return shape, left_split[1] + right_split[1]
 
 
 def collapse(p: MultiPoly, i: int, j: int) -> MultiPoly:

@@ -83,6 +83,8 @@ def check_eq1(params, config):
 
 def check_lemma2(params, config):
     m = params["m"]
+    if m < 2:
+        raise ValueError("lemma2 needs m >= 2")
     x = MultiPoly.variable(1)
     assignment = {1: multiply(x, x), 2: x}
     for slot in range(3, m + 1):
@@ -95,6 +97,8 @@ def check_lemma2(params, config):
 
 def check_eq4(params, config):
     k = params["k"]
+    if k < 1:
+        raise ValueError("eq4 needs k >= 1")
     f = fm(k + 1)
     x, y, z = map(MultiPoly.variable, (1, 2, 3))
     extras = {slot: MultiPoly.variable(slot + 2) for slot in range(2, k + 1)}
@@ -423,8 +427,8 @@ def _write_certificates(check, params, cert_pairs, config):
 def verify(check: str, params=None, config=DEFAULT_CONFIG) -> Report:
     """Run one named check; resource limits surface as their own verdict.
 
-    An unknown check name or a parameter the check does not take raises
-    ValueError before anything runs.
+    An unknown check name, a parameter the check does not take or one
+    outside the check's domain raises ValueError before anything runs.
     """
     if check not in CHECKS:
         raise ValueError(f"unknown check {check!r}; known: {', '.join(sorted(CHECKS))}")

@@ -247,8 +247,11 @@ def test_verify_rejects_foreign_param(capsys):
     (["dim", "--variety", "alt", "--multideg", "1,1", "--identities", "{ids}"],
      "only the custom variety takes identities"),
     (["member", "--variety", "flex", "--input", "{dir}"], "Is a directory"),
+    (["verify", "lemma2", "--m", "1"], "lemma2 needs m >= 2"),
+    (["verify", "eq4", "--k", "0"], "eq4 needs k >= 1"),
+    (["verify", "eq4", "--k", "-1"], "eq4 needs k >= 1"),
 ], ids=["check-with-all-desk", "param-with-all-desk", "identities-with-builtin",
-        "input-is-directory"])
+        "input-is-directory", "lemma2-m-below-two", "eq4-k-zero", "eq4-k-negative"])
 def test_rejected_usage_runs_nothing(tmp_path, capsys, argv, message):
     ids = tmp_path / "ids.txt"
     ids.write_text("((x1*x2)*x1) - (x1*(x2*x1))\n")

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import dense_express, fm_by_relabel, fm_by_substitution
 from skewalg.family import (BaseDescriptor, SuperWord, alternating_space,
@@ -10,10 +12,11 @@ from skewalg.family import (BaseDescriptor, SuperWord, alternating_space,
                             standard_polynomial, super_commutator,
                             super_jordan, t_element, t_power,
                             u_word, x_bracket, z_word)
-from skewalg.poly import MultiPoly, commutator, parse_poly
-from skewalg.symmetrize import collapse, is_skew_symmetric, skew
+from skewalg.poly import MultiPoly, add_terms, commutator, parse_poly
+from skewalg.symmetrize import alternate, collapse, is_skew_symmetric, skew
 from skewalg.variety import (ComponentSpace, builtin_variety, component_space,
                              consequence_generators, expand_descriptor)
+from skewalg.words import enumerate_words, leaves, relabel, sort_key
 
 
 def test_fm_base_cases():
@@ -218,6 +221,40 @@ def test_skew_powers_project_to_standard_polynomial():
         got = associative_projection(skew(el.poly))
         want = {w: (Fraction(2) ** m) * c for w, c in standard_polynomial(n).items()}
         assert got == want
+
+
+_COEFFS = st.integers(-3, 3).filter(bool)
+
+
+@st.composite
+def _projection_inputs(draw):
+    """fm and alternate outputs, whose words share subword objects, as they
+    are, rebuilt from distinct objects, or with one word also held as the
+    subword of another term."""
+    if draw(st.booleans()):
+        p = fm(draw(st.integers(1, 5)))
+    else:
+        variables = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4, unique=True))
+        words = enumerate_words(dict.fromkeys(variables, 1))
+        p = alternate(MultiPoly.from_pairs(draw(st.lists(
+            st.tuples(st.sampled_from(words), _COEFFS), min_size=1, max_size=4))))
+    kind = draw(st.sampled_from(["shared", "unshared", "nested"]))
+    if kind == "unshared":
+        return MultiPoly.from_pairs((relabel(w, {}), c) for w, c in p.terms.items())
+    if kind == "nested" and p:
+        w = draw(st.sampled_from(sorted(p.terms, key=sort_key)))
+        return p + MultiPoly.monomial((w, 9), draw(_COEFFS))
+    return p
+
+
+@settings(max_examples=200, deadline=None)
+@given(_projection_inputs())
+@example(MultiPoly.zero())
+@example(parse_poly("x3"))
+@example(parse_poly("x2 - 2*(x1*x2) + ((x1*x2)*x1)"))
+def test_associative_projection_matches_leaf_walk(p):
+    want = add_terms({}, ((tuple(leaves(w)), c) for w, c in p.terms.items()))
+    assert associative_projection(p) == want
 
 
 def test_standard_polynomial_small():

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import alternate_by_relabel
 
-from skewalg.family import fm, x_bracket, z_word
+from skewalg.family import associative_projection, fm, x_bracket, z_word
 from skewalg.poly import MultiPoly, multiply, parse_poly, relabel_poly
 from skewalg.symmetrize import (alternate, as_one_variable, collapse,
                                 is_skew_symmetric, linearize,
@@ -268,17 +268,37 @@ def test_skew_peak_memory():
     assert peak <= 32 * 2**20
 
 
+@pytest.mark.parametrize("split", [associative_projection, is_skew_symmetric])
+def test_node_memo_peak_memory(split):
+    # the per-call memo holds fm(6)'s 12150 subword objects, not its 20160
+    # words, and none of it outlives the call
+    p = fm(6)
+    tracemalloc.start()
+    try:
+        split(p)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+    assert kept <= 2**20
+
+
 @st.composite
 def _skew_candidates(draw):
-    """Multilinear polynomials, their alternates, and near misses of those."""
+    """Multilinear polynomials, their alternates, and near misses of those;
+    fm(m) for m <= 5."""
     variables = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True))
     words = enumerate_words(dict.fromkeys(variables, 1))
     base = _combination(draw, words)
     kind = draw(st.sampled_from(["raw", "alternate", "perturbed", "repeated_leaf",
-                                 "two_variable_sets"]))
+                                 "two_variable_sets", "unshared", "fm"]))
     if kind == "raw":
         return base
+    if kind == "fm":
+        return fm(draw(st.integers(1, 5)))
     p = alternate(base)
+    if kind == "unshared":  # equal words rebuilt from distinct subword objects
+        return MultiPoly.from_pairs((relabel(w, {}), c) for w, c in p.terms.items())
     word = draw(st.sampled_from(words))
     if kind == "perturbed":
         return p + MultiPoly.monomial(word, draw(_COEFFS))
