@@ -3,8 +3,9 @@
 Exit codes: 0 success/pass, 1 mathematical fail (a claim did not hold or a
 polynomial is not a member), 2 usage error, 3 resource limit exceeded.
 Config fields can come from SKEWALG_* environment variables; flags win.
-Check names, check parameters and varieties are validated by the library
-(verify, builtin_variety); a ValueError or OSError is a usage error.
+Check names and check parameters are validated by the library (verify),
+variety names against variety.VARIETIES; a ValueError or OSError is a
+usage error.
 """
 
 import argparse
@@ -15,7 +16,7 @@ from .config import Config, ResourceLimitError
 from .family import basea_count, fm, n_bound
 from .poly import MultiPoly, format_poly, parse_identity_file, parse_poly, parse_word
 from .symmetrize import skew
-from .variety import builtin_variety, component_dimension, is_member
+from .variety import VARIETIES, builtin_variety, component_dimension, is_member
 from .verify import CHECKS, DESK_SUITE, Report, verify
 from .words import format_word
 
@@ -180,8 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dim", parents=[common],
                        help="dimension of a relatively free component")
-    p.add_argument("--variety", required=True,
-                   choices=("assoc", "alt", "flex", "ncj_cor1", "free", "custom"))
+    p.add_argument("--variety", required=True, choices=VARIETIES)
     p.add_argument("--multideg", required=True, type=_parse_multidegree,
                    metavar="D", help="comma exponents, for example 3,1,1")
     p.add_argument("--identities", metavar="FILE",
@@ -190,8 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("member", parents=[common],
                        help="T-ideal membership with certificate")
-    p.add_argument("--variety", required=True,
-                   choices=("assoc", "alt", "flex", "ncj_cor1", "free", "custom"))
+    p.add_argument("--variety", required=True, choices=VARIETIES)
     p.add_argument("--input", required=True, metavar="FILE",
                    help="polynomial file in the text grammar")
     p.add_argument("--certify", metavar="PATH",

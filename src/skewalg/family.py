@@ -25,37 +25,10 @@ from itertools import permutations
 from math import comb
 
 from .config import DEFAULT_CONFIG
-from .poly import MultiPoly, _wrap, add_terms, multiply
+from .poly import MultiPoly, _wrap, add_terms, gc_paused, multiply
 from .symmetrize import as_one_variable, permutation_sign, skew
 from .variety import ComponentSpace, builtin_variety, component_space
-
-
-def _flatten(words, n: int) -> tuple:
-    """(nodes, roots) for words whose leaves are variables 1..n-1.
-
-    A position below n is the leaf of that variable; position n + k is
-    nodes[k], a pair (left position, right position) listed after its
-    children.  Equal subwords share one position, and roots holds the
-    position of each word in order.
-    """
-    nodes = []
-    by_pair = {}  # (left position, right position) -> position
-    by_id = {}    # id of a node object met before -> position; words stay alive
-
-    def visit(w):
-        if isinstance(w, int):
-            return w
-        pos = by_id.get(id(w))
-        if pos is None:
-            key = (visit(w[0]), visit(w[1]))
-            pos = by_pair.get(key)
-            if pos is None:
-                pos = by_pair[key] = n + len(nodes)
-                nodes.append(key)
-            by_id[id(w)] = pos
-        return pos
-
-    return nodes, [visit(w) for w in words]
+from .words import flatten
 
 
 @lru_cache(maxsize=None)
@@ -70,19 +43,20 @@ def fm(m: int) -> MultiPoly:
     if m == 1:
         return MultiPoly.variable(1)
     prev = fm(m - 1).terms
-    nodes, roots = _flatten(prev, m)
+    nodes, roots = flatten(prev, m)
     coeffs = list(prev.values())
     acc = {}
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            sign = 1 if (i + j) % 2 else -1  # (-1)^(i+j-1)
-            rest = [k for k in range(1, m + 1) if k != i and k != j]
-            for first, s in (((i, j), sign), ((j, i), -sign)):
-                images = [0, first, *rest]  # position v < m holds x_v's image
-                grow = images.append
-                for left, right in nodes:
-                    grow((images[left], images[right]))
-                add_terms(acc, ((images[r], s * c) for r, c in zip(roots, coeffs)))
+    with gc_paused():
+        for i in range(1, m + 1):
+            for j in range(i + 1, m + 1):
+                sign = 1 if (i + j) % 2 else -1  # (-1)^(i+j-1)
+                rest = [k for k in range(1, m + 1) if k != i and k != j]
+                for first, s in (((i, j), sign), ((j, i), -sign)):
+                    images = [0, first, *rest]  # position v < m holds x_v's image
+                    grow = images.append
+                    for left, right in nodes:
+                        grow((images[left], images[right]))
+                    add_terms(acc, ((images[r], s * c) for r, c in zip(roots, coeffs)))
     return _wrap(acc)
 
 

@@ -24,11 +24,13 @@ A space turns a streamed descriptor into its column vector through an
 integer word table, built once from the words of the component's
 sub-multidegrees: every such word has an id (the ambient words first, so
 an ambient word's id is its column) and every word of degree >= 2 is the
-image of its (left id, right id) pair.  Each identity term is compiled
-once into register operations over the slot positions, and each context
-once into its path of (side, sibling id) steps from the hole up, so a
-generator's vector takes pair lookups alone, with the terms summed in the
-order expand_descriptor sums them.  Slot-orbit groups are keyed by ids.
+image of its (left id, right id) pair.  Each identity is compiled once
+by words.flatten into its distinct nodes over the slot positions, and
+each context once into its path of (side, sibling id) steps from the
+hole up, so a generator's vector takes pair lookups alone: each node
+once, then each term's root through the context, with the terms summed
+in the order expand_descriptor sums them.  Slot-orbit groups are keyed
+by ids.
 """
 
 import json
@@ -44,8 +46,8 @@ from .linalg import EchelonAccumulator
 from .poly import (MultiPoly, add_terms, associator, commutator, format_poly,
                    multiply, parse_poly, parse_word, relabel_poly)
 from .symmetrize import linearize
-from .words import (HOLE, _words_for, enumerate_words, format_word, md_key,
-                    multidegree_of, relabel, word_count)
+from .words import (HOLE, _words_for, enumerate_words, flatten, format_word,
+                    md_key, multidegree_of, relabel, word_count)
 
 
 @dataclass(frozen=True)
@@ -64,12 +66,17 @@ class Variety:
                 raise ValueError(f"identity {format_poly(f)} must use exactly x1..xk")
 
 
+VARIETIES = ("assoc", "alt", "flex", "ncj_cor1", "free", "custom")
+
+
 def builtin_variety(name: str, identity_polys=None) -> Variety:
-    """Named identity sets: assoc, alt, flex, ncj_cor1, free, custom.
+    """The variety of a name in VARIETIES.
 
     custom takes a list of multihomogeneous polynomials (see
     parse_identity_file) and linearizes them; no other name takes any.
     """
+    if name not in VARIETIES:
+        raise ValueError(f"unknown variety {name!r}; known: {', '.join(VARIETIES)}")
     if identity_polys is not None and name != "custom":
         raise ValueError(f"only the custom variety takes identities, not {name!r}")
     x1, x2, x3 = map(MultiPoly.variable, (1, 2, 3))
@@ -89,19 +96,17 @@ def builtin_variety(name: str, identity_polys=None) -> Variety:
         return Variety("ncj_cor1", (flex, ncj, cor1))
     if name == "free":
         return Variety("free", ())
-    if name == "custom":
-        if identity_polys is None:
-            raise ValueError("custom variety needs identity polynomials")
-        ids = []
-        for p in identity_polys:
-            if p.is_zero():
-                continue
-            if len(p.multidegrees()) != 1:
-                raise ValueError(
-                    f"custom identity is not multihomogeneous: {format_poly(p)}")
-            ids.append(linearize(p))
-        return Variety("custom", tuple(ids))
-    raise ValueError(f"unknown variety {name!r}")
+    if identity_polys is None:
+        raise ValueError("custom variety needs identity polynomials")
+    ids = []
+    for p in identity_polys:
+        if p.is_zero():
+            continue
+        if len(p.multidegrees()) != 1:
+            raise ValueError(
+                f"custom identity is not multihomogeneous: {format_poly(p)}")
+        ids.append(linearize(p))
+    return Variety("custom", tuple(ids))
 
 
 # One consequence generator: identity identity_index with the word
@@ -212,25 +217,6 @@ def _slot_orbits(identities: tuple) -> _SlotOrbits:
     return _SlotOrbits(identities)
 
 
-def _program(w, k: int) -> tuple:
-    """Register operations building w from slot ids in registers 0..k-1.
-
-    w is a word in x1..xk; an operation (l, r) appends the id of the pair
-    (register l, register r), and the last register holds w's id.
-    """
-    ops = []
-
-    def walk(u):
-        if isinstance(u, int):
-            return u - 1
-        left, right = walk(u[0]), walk(u[1])
-        ops.append((left, right))
-        return k + len(ops) - 1
-
-    walk(w)
-    return tuple(ops)
-
-
 class _WordTable:
     """Integer ids for the words of a component's sub-multidegrees.
 
@@ -251,8 +237,10 @@ class _WordTable:
         self.size = n = len(ids)
         self.pair = {ids[w[0]] * n + ids[w[1]]: i for w, i in ids.items()
                      if not isinstance(w, int)}
-        self.programs = [tuple((_program(w, len(f.variables())), c)
-                               for w, c in f.terms.items()) for f in identities]
+        # per identity: flatten's (nodes, roots) over its variables, and its
+        # coefficients in term order
+        self.compiled = [(*flatten(f.terms, len(f.variables()) + 1),
+                          list(f.terms.values())) for f in identities]
         self._contexts = {}  # context word -> (number, path)
 
     def context(self, ctx) -> tuple:
@@ -284,13 +272,15 @@ class _WordTable:
         """Column vector of identity identity_index with the words of ids
         slots in its variables, in the context of path."""
         pair, n = self.pair, self.size
+        nodes, roots, coeffs = self.compiled[identity_index]
+        ids = [None, *slots]  # position v >= 1 holds the id of variable v's word
+        grow = ids.append
+        for left, right in nodes:
+            grow(pair[ids[left] * n + ids[right]])
         out = {}
         get = out.get
-        for ops, c in self.programs[identity_index]:
-            reg = list(slots)
-            for left, right in ops:
-                reg.append(pair[reg[left] * n + reg[right]])
-            w = reg[-1]
+        for r, c in zip(roots, coeffs):
+            w = ids[r]
             for mult, add in path:
                 w = pair[w * mult + add]
             total = get(w, 0) + c
@@ -310,42 +300,43 @@ def _dump_indented(doc: dict, fh):
     encoder: a str or int is written in one piece with its key, and the
     pieces go to fh a few hundred at a time."""
     out = []
-    emit = out.append
-
-    def value(head, v, level):
-        """Emit the text head, then v at nesting level."""
-        if type(v) is str:
-            emit(head + _quote(v))
-        elif type(v) is int:
-            emit(head + int.__repr__(v))
-        elif type(v) is not dict and type(v) is not list:
-            raise TypeError(f"{type(v).__name__} is not a certificate value")
-        elif not v:
-            emit(head + ("{}" if type(v) is dict else "[]"))
-        elif type(v) is dict:
-            inner = "\n" + " " * (level + 1)
-            sep = head + "{" + inner
-            for k, x in v.items():
-                k = f"{sep}{_quote(k)}: "  # _quote raises TypeError on a non-str
-                if type(x) is str:  # the common case, without a call
-                    emit(k + _quote(x))
-                else:
-                    value(k, x, level + 1)
-                sep = "," + inner
-            emit("\n" + " " * level + "}")
-        else:
-            inner = "\n" + " " * (level + 1)
-            sep = head + "[" + inner
-            for x in v:
-                value(sep, x, level + 1)
-                sep = "," + inner
-                if len(out) > 512:
-                    fh.write("".join(out))
-                    out.clear()
-            emit("\n" + " " * level + "]")
-
-    value("", doc, 0)
+    _dump_value("", doc, 0, out, fh)
     fh.write("".join(out))
+
+
+def _dump_value(head, v, level, out, fh):
+    """Append the text head, then v at nesting level, to the pieces in out;
+    a list moves the pieces so far to fh every few hundred."""
+    emit = out.append
+    if type(v) is str:
+        emit(head + _quote(v))
+    elif type(v) is int:
+        emit(head + int.__repr__(v))
+    elif type(v) is not dict and type(v) is not list:
+        raise TypeError(f"{type(v).__name__} is not a certificate value")
+    elif not v:
+        emit(head + ("{}" if type(v) is dict else "[]"))
+    elif type(v) is dict:
+        inner = "\n" + " " * (level + 1)
+        sep = head + "{" + inner
+        for k, x in v.items():
+            k = f"{sep}{_quote(k)}: "  # _quote raises TypeError on a non-str
+            if type(x) is str:  # the common case, without a call
+                emit(k + _quote(x))
+            else:
+                _dump_value(k, x, level + 1, out, fh)
+            sep = "," + inner
+        emit("\n" + " " * level + "}")
+    else:
+        inner = "\n" + " " * (level + 1)
+        sep = head + "[" + inner
+        for x in v:
+            _dump_value(sep, x, level + 1, out, fh)
+            sep = "," + inner
+            if len(out) > 512:
+                fh.write("".join(out))
+                out.clear()
+        emit("\n" + " " * level + "]")
 
 
 @dataclass

@@ -83,8 +83,6 @@ def check_eq1(params, config):
 
 def check_lemma2(params, config):
     m = params["m"]
-    if m < 2:
-        raise ValueError("lemma2 needs m >= 2")
     x = MultiPoly.variable(1)
     assignment = {1: multiply(x, x), 2: x}
     for slot in range(3, m + 1):
@@ -97,8 +95,6 @@ def check_lemma2(params, config):
 
 def check_eq4(params, config):
     k = params["k"]
-    if k < 1:
-        raise ValueError("eq4 needs k >= 1")
     f = fm(k + 1)
     x, y, z = map(MultiPoly.variable, (1, 2, 3))
     extras = {slot: MultiPoly.variable(slot + 2) for slot in range(2, k + 1)}
@@ -159,8 +155,6 @@ def _evaluate_associative(proj: dict, words: tuple) -> dict:
 
 def _cor2_body(m: int, degree_bound: int, config):
     """Evaluate fm(m)'s associative image on m-subsets of two-letter words."""
-    if degree_bound < 2:  # the 2 one-letter words cannot fill an m-subset
-        raise ValueError(f"degree_bound must be >= 2, got {degree_bound}")
     proj = associative_projection(fm(m))
     small = _binary_words(2)
     full_failures = sum(
@@ -265,8 +259,6 @@ def check_eq6(params, config):
     """Two-parameter solve: Skew x^[m] against fm(m) and the double-bracket
     sum over omitted pairs, modulo the alternative T-ideal."""
     m = params["m"]
-    if m < 3:
-        raise ValueError("eq6 needs m >= 3")
     space = alternating_space(m, config)
     terms = []  # (sign, term) per omitted pair i < j
     for i, j in combinations(range(1, m + 1), 2):
@@ -377,23 +369,27 @@ def check_engine_soundness(params, config):
 class CheckDef:
     runner: object
     defaults: dict
+    lowest: dict  # the least value of each parameter
 
 
 CHECKS = {
-    "lemma1": CheckDef(check_lemma1, {"m": 5}),
-    "eq1": CheckDef(check_eq1, {}),
-    "lemma2": CheckDef(check_lemma2, {"m": 4}),
-    "eq4": CheckDef(check_eq4, {"k": 2}),
-    "fm_nonzero": CheckDef(check_fm_nonzero, {"m": 3}),
-    "skew_dim": CheckDef(check_skew_dim, {"d": 4}),
-    "cor2_assoc": CheckDef(check_cor2_assoc, {"degree_bound": 3}),
-    "cor2_assoc_probe": CheckDef(check_cor2_assoc_probe, {"degree_bound": 3}),
-    "assoc_projection": CheckDef(check_assoc_projection, {"d": 9}),
-    "lemma3": CheckDef(check_lemma3, {"m": 4}),
-    "eq6": CheckDef(check_eq6, {"m": 4}),
-    "cor4_tiny": CheckDef(check_cor4_tiny, {}),
+    "lemma1": CheckDef(check_lemma1, {"m": 5}, {"m": 1}),
+    "eq1": CheckDef(check_eq1, {}, {}),
+    "lemma2": CheckDef(check_lemma2, {"m": 4}, {"m": 2}),
+    "eq4": CheckDef(check_eq4, {"k": 2}, {"k": 1}),
+    "fm_nonzero": CheckDef(check_fm_nonzero, {"m": 3}, {"m": 1}),
+    "skew_dim": CheckDef(check_skew_dim, {"d": 4}, {"d": 1}),
+    # below degree 2 the 2 one-letter words cannot fill an m-subset
+    "cor2_assoc": CheckDef(check_cor2_assoc, {"degree_bound": 3}, {"degree_bound": 2}),
+    "cor2_assoc_probe": CheckDef(check_cor2_assoc_probe, {"degree_bound": 3},
+                                 {"degree_bound": 2}),
+    "assoc_projection": CheckDef(check_assoc_projection, {"d": 9}, {"d": 1}),
+    "lemma3": CheckDef(check_lemma3, {"m": 4}, {"m": 1}),
+    "eq6": CheckDef(check_eq6, {"m": 4}, {"m": 3}),
+    "cor4_tiny": CheckDef(check_cor4_tiny, {}, {}),
     "engine_soundness": CheckDef(check_engine_soundness,
-                                 {"n_certificates": 200, "n_shuffles": 20, "n_sets": 10}),
+                                 {"n_certificates": 200, "n_shuffles": 20, "n_sets": 10},
+                                 {"n_certificates": 0, "n_shuffles": 0, "n_sets": 0}),
 }
 
 
@@ -428,7 +424,8 @@ def verify(check: str, params=None, config=DEFAULT_CONFIG) -> Report:
     """Run one named check; resource limits surface as their own verdict.
 
     An unknown check name, a parameter the check does not take or one
-    outside the check's domain raises ValueError before anything runs.
+    below its least value in the check's CheckDef raises ValueError
+    before anything runs.
     """
     if check not in CHECKS:
         raise ValueError(f"unknown check {check!r}; known: {', '.join(sorted(CHECKS))}")
@@ -438,6 +435,9 @@ def verify(check: str, params=None, config=DEFAULT_CONFIG) -> Report:
     if unknown:
         raise ValueError(f"check {check!r} does not take {', '.join(sorted(unknown))}")
     merged = {**cdef.defaults, **params}
+    for name, low in cdef.lowest.items():
+        if merged[name] < low:
+            raise ValueError(f"{check} needs {name} >= {low}")
     t0 = time.perf_counter()
     try:
         verdict, details, cert_pairs = cdef.runner(merged, config)

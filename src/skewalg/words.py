@@ -59,6 +59,35 @@ def relabel(w, mapping):
     return (relabel(w[0], mapping), relabel(w[1], mapping))
 
 
+def flatten(words, n: int) -> tuple:
+    """(nodes, roots) for words whose leaves are variables 1..n-1.
+
+    A position below n is the leaf of that variable; position n + k is
+    nodes[k], a pair (left position, right position) listed after its
+    children.  Equal subwords share one position, and roots holds the
+    position of each word in order.  The words must stay alive during
+    the call: node objects met before are looked up by id.
+    """
+    by_pair = {}  # (left position, right position) -> position, in node order
+    by_id = {}    # id of a node object met before -> position
+    roots = [_position(w, n, by_pair, by_id) for w in words]
+    return list(by_pair), roots
+
+
+def _position(w, n, by_pair, by_id):
+    """w's position in flatten's numbering, adding its new nodes."""
+    if isinstance(w, int):
+        return w
+    pos = by_id.get(id(w))
+    if pos is None:
+        key = (_position(w[0], n, by_pair, by_id), _position(w[1], n, by_pair, by_id))
+        pos = by_pair.get(key)
+        if pos is None:
+            pos = by_pair[key] = n + len(by_pair)
+        by_id[id(w)] = pos
+    return pos
+
+
 def md_key(md) -> tuple:
     """Canonical hashable form of a multidegree mapping: sorted (var, exp) pairs."""
     return tuple(sorted((v, e) for v, e in md.items() if e))

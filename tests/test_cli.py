@@ -157,6 +157,19 @@ def test_bad_multidegree(capsys):
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["dim", "--multideg", "1,1"], ["member", "--input", "{poly}"]],
+                         ids=["dim", "member"])
+def test_unknown_variety_is_usage(tmp_path, capsys, argv):
+    poly = tmp_path / "p.txt"
+    poly.write_text("(x1*x2)\n")
+    with pytest.raises(SystemExit) as e:
+        main([a.format(poly=poly) for a in argv] + ["--variety", "octonion"])
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'octonion'" in captured.err
+
+
 def test_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SKEWALG_MAX_AMBIENT_DIMENSION", "10")
     code, _, err = run(capsys, "dim", "--variety", "alt", "--multideg", "1,1,1")
@@ -250,8 +263,15 @@ def test_verify_rejects_foreign_param(capsys):
     (["verify", "lemma2", "--m", "1"], "lemma2 needs m >= 2"),
     (["verify", "eq4", "--k", "0"], "eq4 needs k >= 1"),
     (["verify", "eq4", "--k", "-1"], "eq4 needs k >= 1"),
+    (["verify", "eq6", "--m", "2"], "eq6 needs m >= 3"),
+    (["verify", "fm_nonzero", "--m", "0"], "fm_nonzero needs m >= 1"),
+    (["verify", "skew_dim", "--d", "0"], "skew_dim needs d >= 1"),
+    (["verify", "skew_dim", "--d", "-2"], "skew_dim needs d >= 1"),
+    (["verify", "assoc_projection", "--d", "-1"], "assoc_projection needs d >= 1"),
 ], ids=["check-with-all-desk", "param-with-all-desk", "identities-with-builtin",
-        "input-is-directory", "lemma2-m-below-two", "eq4-k-zero", "eq4-k-negative"])
+        "input-is-directory", "lemma2-m-below-two", "eq4-k-zero", "eq4-k-negative",
+        "eq6-m-two", "fm_nonzero-m-zero", "skew_dim-d-zero", "skew_dim-d-negative",
+        "assoc_projection-d-negative"])
 def test_rejected_usage_runs_nothing(tmp_path, capsys, argv, message):
     ids = tmp_path / "ids.txt"
     ids.write_text("((x1*x2)*x1) - (x1*(x2*x1))\n")

@@ -47,7 +47,8 @@ def test_builtin_varieties():
     degs = sorted(len(f.variables()) for f in ncj.identities)
     assert degs == [3, 4, 4]
     assert builtin_variety("free").identities == ()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown variety 'octonion'; known: assoc, alt, "
+                                         "flex, ncj_cor1, free, custom"):
         builtin_variety("octonion")
 
 
@@ -467,8 +468,11 @@ _TABLE_CASES = [
                                 parse_poly("((x1*x2)*(x3*x4)) - (x1*(x2*(x3*x4)))")]),
      md(2, 1, 1)),
     (ALT, md(5)),
+    # an identity that is its variable: its root is a slot position
+    (builtin_variety("custom", [parse_poly("x1")]), md(2, 1)),
 ]
-_TABLE_IDS = ["alt-1111", "flex-211", "flex-2111", "ncj_cor1-211", "custom-211", "alt-5"]
+_TABLE_IDS = ["alt-1111", "flex-211", "flex-2111", "ncj_cor1-211", "custom-211", "alt-5",
+              "custom-x1-21"]
 
 
 @pytest.mark.parametrize("variety_, degree", _TABLE_CASES, ids=_TABLE_IDS)

@@ -121,3 +121,10 @@ def test_desk_suite_layout():
     for name, params in DESK_SUITE:
         assert name in CHECKS
         assert set(params) <= set(CHECKS[name].defaults)
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_each_parameter_has_a_lowest_value(name):
+    cdef = CHECKS[name]
+    assert set(cdef.lowest) == set(cdef.defaults)
+    assert all(cdef.defaults[p] >= low for p, low in cdef.lowest.items())
