@@ -25,6 +25,9 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
+_VERIFY_PARAMS = ("m", "k", "d", "degree_bound")
+_VERIFY_FLAGS = tuple("--" + key.replace("_", "-") for key in _VERIFY_PARAMS)
+
 
 def _parse_multidegree(text: str) -> dict:
     try:
@@ -124,11 +127,12 @@ def _verdict_exit(reports) -> int:
 
 
 def cmd_verify(args, config):
-    params = {key: getattr(args, key) for key in ("m", "k", "d", "degree_bound")
+    params = {key: getattr(args, key) for key in _VERIFY_PARAMS
               if getattr(args, key) is not None}
     if args.all_desk:
         if args.check or params:
-            raise ValueError("--all-desk takes no CHECK, --m, --k, --d or --degree-bound")
+            raise ValueError(f"--all-desk takes no CHECK, {', '.join(_VERIFY_FLAGS[:-1])}"
+                             f" or {_VERIFY_FLAGS[-1]}")
         reports = []
         for name, desk_params in DESK_SUITE:
             report = verify(name, desk_params, config)
@@ -207,10 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run a named check or the desk suite")
     p.add_argument("check", nargs="?", metavar="CHECK",
                    help=f"one of: {', '.join(sorted(CHECKS))}")
-    p.add_argument("--m", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--degree-bound", type=int, dest="degree_bound")
+    for flag in _VERIFY_FLAGS:  # argparse names each dest by its key
+        p.add_argument(flag, type=int)
     p.add_argument("--all-desk", action="store_true",
                    help="run the full desk-scale acceptance suite")
     p.set_defaults(func=cmd_verify)

@@ -21,7 +21,7 @@ so x^[2] = 2 x*x is nonzero while [t, t]_s = 0.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 from math import comb
 
 from .config import DEFAULT_CONFIG
@@ -181,14 +181,7 @@ class BaseDescriptor:
 
     @property
     def degree(self) -> int:
-        base = 2 * self.m + self.sigma
-        if self.family == "power":
-            return base
-        if self.family == "bracket":
-            return base + self.k + 2
-        if self.family == "u_family":
-            return base + 4 * self.k + self.eps + 3
-        return base + 4 * self.k + self.eps + 2
+        return 2 * self.m + self.sigma + _core_degree(self.family, self.k, self.eps)
 
     def label(self) -> str:
         head = "" if self.m == 0 else ("t" if self.m == 1 else f"t^{self.m}")
@@ -224,28 +217,29 @@ def base_element(desc: BaseDescriptor) -> SuperWord:
     return head * inner if inner is not None else head
 
 
+def _core_degree(family: str, k: int, eps: int) -> int:
+    """Degree of a family's element at m = sigma = 0 (the table in
+    BaseDescriptor's docstring)."""
+    if family == "power":
+        return 0
+    if family == "bracket":
+        return k + 2
+    return 4 * k + eps + (3 if family == "u_family" else 2)
+
+
 def base_descriptors(degree: int) -> list:
-    """All catalogue descriptors of the given degree, in a fixed order."""
+    """All catalogue descriptors of the given degree, in a fixed order:
+    family, then sigma, then k, then eps."""
     if degree < 1:
         return []
     out = []
-    sigma = degree % 2
-    m = (degree - sigma) // 2
-    if m + sigma >= 1:
-        out.append(BaseDescriptor("power", m=m, sigma=sigma))
-    for sigma in (0, 1):
-        for k in range(1, degree + 1):
-            rem = degree - sigma - (k + 2)
+    for family in ("power", "bracket", "u_family", "z_family"):
+        ks = (0,) if family == "power" else range(1, degree + 1)
+        epss = (0, 1) if family in ("u_family", "z_family") else (0,)
+        for sigma, k, eps in product((0, 1), ks, epss):
+            rem = degree - sigma - _core_degree(family, k, eps)
             if rem >= 0 and rem % 2 == 0:
-                out.append(BaseDescriptor("bracket", m=rem // 2, sigma=sigma, k=k))
-    for family, offset in (("u_family", 3), ("z_family", 2)):
-        for sigma in (0, 1):
-            for k in range(1, degree + 1):
-                for eps in (0, 1):
-                    rem = degree - sigma - (4 * k + eps) - offset
-                    if rem >= 0 and rem % 2 == 0:
-                        out.append(BaseDescriptor(family, m=rem // 2, sigma=sigma,
-                                                  k=k, eps=eps))
+                out.append(BaseDescriptor(family, m=rem // 2, sigma=sigma, k=k, eps=eps))
     return out
 
 

@@ -38,7 +38,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import lcm
 
 from .config import DEFAULT_CONFIG, Config, ResourceLimitError
@@ -136,12 +136,10 @@ def expand_descriptor(variety: Variety, desc: GenDescriptor) -> MultiPoly:
 
 
 def _compositions(n: int, parts: int):
-    if parts == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, parts - 1):
-            yield (first,) + rest
+    """The tuples of parts non-negative ints summing to n, in lexicographic
+    order: stars and bars, the bars at cuts."""
+    for cuts in combinations_with_replacement(range(n + 1), parts - 1):
+        yield tuple(b - a for a, b in zip((0, *cuts), (*cuts, n)))
 
 
 def _splits(d: dict, k: int):
@@ -291,54 +289,6 @@ class _WordTable:
         return out
 
 
-_quote = json.encoder.encode_basestring_ascii
-
-
-def _dump_indented(doc: dict, fh):
-    """json.dump(doc, fh, indent=1) for a doc of dicts with str keys,
-    lists, str and int, without the standard library's pure-Python indent
-    encoder: a str or int is written in one piece with its key, and the
-    pieces go to fh a few hundred at a time."""
-    out = []
-    _dump_value("", doc, 0, out, fh)
-    fh.write("".join(out))
-
-
-def _dump_value(head, v, level, out, fh):
-    """Append the text head, then v at nesting level, to the pieces in out;
-    a list moves the pieces so far to fh every few hundred."""
-    emit = out.append
-    if type(v) is str:
-        emit(head + _quote(v))
-    elif type(v) is int:
-        emit(head + int.__repr__(v))
-    elif type(v) is not dict and type(v) is not list:
-        raise TypeError(f"{type(v).__name__} is not a certificate value")
-    elif not v:
-        emit(head + ("{}" if type(v) is dict else "[]"))
-    elif type(v) is dict:
-        inner = "\n" + " " * (level + 1)
-        sep = head + "{" + inner
-        for k, x in v.items():
-            k = f"{sep}{_quote(k)}: "  # _quote raises TypeError on a non-str
-            if type(x) is str:  # the common case, without a call
-                emit(k + _quote(x))
-            else:
-                _dump_value(k, x, level + 1, out, fh)
-            sep = "," + inner
-        emit("\n" + " " * level + "}")
-    else:
-        inner = "\n" + " " * (level + 1)
-        sep = head + "[" + inner
-        for x in v:
-            _dump_value(sep, x, level + 1, out, fh)
-            sep = "," + inner
-            if len(out) > 512:
-                fh.write("".join(out))
-                out.clear()
-        emit("\n" + " " * level + "]")
-
-
 @dataclass
 class MembershipCertificate:
     """Exact witness: target = sum of coefficient * expanded descriptor."""
@@ -387,11 +337,18 @@ class MembershipCertificate:
         return MembershipCertificate(parse_poly(doc["target"]), doc["variety"], md, entries)
 
     def write(self, path: str, variety: Variety):
-        """Write to_json(variety) to path, byte for byte as json.dump(...,
-        indent=1) would: the one writer of certificate files."""
+        """Write to_json(variety) to path with one generator per line: the
+        one writer of certificate files.  Each line is one json.dumps, so
+        the file is never held whole."""
         doc = self.to_json(variety)
+        head = json.dumps({**doc, "generators": []})  # generators is the last key
         with open(path, "w") as fh:
-            _dump_indented(doc, fh)
+            fh.write(head.removesuffix("]}"))
+            sep = "\n"
+            for entry in doc["generators"]:
+                fh.write(sep + json.dumps(entry))
+                sep = ",\n"
+            fh.write("\n]}\n")
 
     def recheck(self, variety: Variety) -> bool:
         """Re-expand without the solver and compare exactly.  Certificates may

@@ -11,7 +11,7 @@ the config names a certificate directory.
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain, combinations, product
 from math import factorial
 
@@ -38,14 +38,7 @@ class Report:
     elapsed_ms: int = 0
 
     def to_json(self) -> dict:
-        return {
-            "check": self.check,
-            "params": self.params,
-            "verdict": self.verdict,
-            "details": self.details,
-            "certificates": self.certificates,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return asdict(self)
 
 
 def _member_check(p, variety_name, config):

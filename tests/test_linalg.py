@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import DictSweepEchelon, EagerProvenanceEchelon, dense_express, dense_rank
-from skewalg.linalg import EchelonAccumulator
+from skewalg.linalg import EchelonAccumulator, _ratio
 from skewalg.variety import ComponentSpace, builtin_variety
 
 
@@ -336,3 +336,13 @@ def test_deferred_provenance_matches_eager_oracle(case):
     assert coeffs == oracle.express(target)
     assert (coeffs is None) == (dense_express(vecs, target, dim) is None)
     assert (witness is None) == (coeffs is not None)
+
+
+def test_ratio_is_exact_and_int_where_integral():
+    third = _ratio(1, 3)
+    assert type(third) is Fraction and third == Fraction(1, 3)
+    assert _ratio(6, -4) == Fraction(-3, 2)
+    assert _ratio(10**30 + 1, 10**30) == Fraction(10**30 + 1, 10**30)
+    for n, d, q in ((8, 2, 4), (-9, 3, -3), (0, 7, 0), (10**40, 10**20, 10**20)):
+        r = _ratio(n, d)
+        assert type(r) is int and r == q

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewalg.family import fm, x_bracket
+from skewalg.linalg import _ratio
 from skewalg.poly import (MultiPoly, ParseError, add_terms, associator,
                           commutator, format_poly, jordan, multiply,
                           parse_identity_file, parse_poly, parse_word,
@@ -250,3 +251,11 @@ def test_skew_runs_no_full_collection(gc_state):
     before = gc.get_stats()[2]["collections"]
     skew(x_bracket(7).poly)
     assert gc.get_stats()[2]["collections"] == before
+
+
+def test_coefficients_print_alike_as_int_and_fraction():
+    assert str(_ratio(6, -4)) == "-3/2"
+    for text in ("x1 - 3/2*x2", "-1*x1 + 2*x2", "-1/3*x1 + 7/2*x2"):
+        assert format_poly(parse_poly(text)) == text
+    assert format_poly(parse_poly("x1 + x2").scale(Fraction(4, 2))) == "2*x1 + 2*x2"
+    assert format_poly(parse_poly("x1 - x2").scale(Fraction(-1, 2))) == "-1/2*x1 + 1/2*x2"

@@ -1,8 +1,8 @@
-import io
 import json
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -94,6 +94,15 @@ def test_generator_stream_deterministic():
 
 def format_gen(desc):
     return (desc.identity_index, desc.substitution, desc.context)
+
+
+@pytest.mark.parametrize("n", range(6))
+@pytest.mark.parametrize("parts", range(1, 6))
+def test_compositions_come_in_lexicographic_order(n, parts):
+    # the splits, and so the generator stream, rows and certificates,
+    # follow this order
+    assert list(variety._compositions(n, parts)) == sorted(
+        t for t in product(range(n + 1), repeat=parts) if sum(t) == n)
 
 
 def test_generators_have_the_right_multidegree():
@@ -546,13 +555,23 @@ def _certificates(draw):
     return variety_, MembershipCertificate(target, name, degree, entries)
 
 
+def _one_generator_per_line(doc):
+    """The text of a certificate file: the document's head, ending in
+    "generators": [, then one line per generator, then "]}"."""
+    head = json.dumps({**doc, "generators": []}).removesuffix("]}")
+    lines = ",\n".join(json.dumps(entry) for entry in doc["generators"])
+    return head + ("\n" + lines if lines else "") + "\n]}\n"
+
+
 @settings(max_examples=150, deadline=None)
 @given(_certificates())
 def test_certificate_write_matches_json_dump(tmp_path_factory, case):
     variety_, cert = case
     path = tmp_path_factory.mktemp("cert") / "c.json"
     cert.write(str(path), variety_)
-    assert path.read_bytes() == json.dumps(cert.to_json(variety_), indent=1).encode()
+    doc = cert.to_json(variety_)
+    assert json.loads(path.read_bytes()) == doc
+    assert path.read_bytes() == _one_generator_per_line(doc).encode()
 
 
 def test_certificate_write_covers_the_named_cases(tmp_path):
@@ -567,20 +586,7 @@ def test_certificate_write_covers_the_named_cases(tmp_path):
     for cert in cases:
         path = tmp_path / "c.json"
         cert.write(str(path), ncj)
-        assert path.read_bytes() == json.dumps(cert.to_json(ncj), indent=1).encode()
-
-
-_JSON_DOCS = st.recursive(
-    st.one_of(st.text(), st.integers()),
-    lambda inner: st.one_of(st.lists(inner, max_size=4),
-                            st.dictionaries(st.text(), inner, max_size=4)),
-    max_leaves=20,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.dictionaries(st.text(), _JSON_DOCS, max_size=5))
-def test_dump_indented_matches_json_dumps(doc):
-    fh = io.StringIO()
-    variety._dump_indented(doc, fh)
-    assert fh.getvalue() == json.dumps(doc, indent=1)
+        doc = cert.to_json(ncj)
+        assert json.loads(path.read_bytes()) == doc
+        assert path.read_bytes() == _one_generator_per_line(doc).encode()
+        assert len(path.read_text().splitlines()) == len(cert.entries) + 2
