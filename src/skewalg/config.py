@@ -8,7 +8,7 @@ Every field can be overridden by an environment variable SKEWALG_<FIELD>.
 """
 
 import os
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 
 class ResourceLimitError(RuntimeError):
@@ -21,36 +21,38 @@ class ResourceLimitError(RuntimeError):
         self.limit = limit
 
 
-@dataclass
-class Config:
-    max_ambient_dimension: int = 6000
-    max_generators: int = 2_000_000
-    output_format: str = "text"
-    certificate_directory: str | None = None  # None: write no certificate files
-    random_seed: int = 271828
+class Config(namedtuple("Config", "max_ambient_dimension max_generators output_format "
+                                  "certificate_directory random_seed",
+                        defaults=(6000, 2_000_000, "text", None, 271828))):
+    """Limits, output format and seed; certificate_directory None writes
+    no certificate files."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_ambient_dimension <= 0 or self.max_generators <= 0:
             raise ValueError("limits must be positive")
         if self.output_format not in ("text", "json"):
             raise ValueError("output_format must be 'text' or 'json'")
         if self.certificate_directory == "":
             raise ValueError("certificate_directory must name a directory, not be empty")
+        return self
 
     @classmethod
     def from_env(cls, **overrides) -> "Config":
         kwargs = {}
-        for f in fields(cls):
-            name = f"SKEWALG_{f.name.upper()}"
+        for field, default in cls._field_defaults.items():
+            name = f"SKEWALG_{field.upper()}"
             env = os.environ.get(name)
             if env is None:
                 continue
-            if f.type is int:
+            if type(default) is int:
                 try:
                     env = int(env)
                 except ValueError:
                     raise ValueError(f"{name} must be an integer, got {env!r}") from None
-            kwargs[f.name] = env
+            kwargs[field] = env
         kwargs.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**kwargs)
 

@@ -18,7 +18,7 @@ Super-bracket convention (parities: |a| = degree mod 2, generator odd):
 so x^[2] = 2 x*x is nonzero while [t, t]_s = 0.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
@@ -63,18 +63,18 @@ def fm(m: int) -> MultiPoly:
 # -- one-odd-generator super-bracket words -----------------------------------
 
 
-@dataclass(frozen=True)
-class SuperWord:
+class SuperWord(namedtuple("SuperWord", "poly degree")):
     """A one-variable element with its parity grading (degree mod 2)."""
 
-    poly: MultiPoly
-    degree: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.poly.is_zero():
             _, deg = as_one_variable(self.poly)
             if deg != self.degree:
                 raise ValueError("declared degree does not match the element")
+        return self
 
     @property
     def parity(self) -> int:
@@ -82,6 +82,11 @@ class SuperWord:
 
     def __mul__(self, other: "SuperWord") -> "SuperWord":
         return SuperWord(multiply(self.poly, other.poly), self.degree + other.degree)
+
+    def __add__(self, other):  # no tuple concatenation or repetition
+        return NotImplemented
+
+    __rmul__ = __add__
 
 
 def odd_generator() -> SuperWord:
@@ -142,8 +147,8 @@ def u_word(k: int) -> SuperWord:
 # -- the base catalogue -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BaseDescriptor:
+class BaseDescriptor(namedtuple("BaseDescriptor", "family m sigma k eps",
+                                defaults=(0, 0, 0, 0))):
     """One element of the spanning catalogue of the one-generator superalgebra.
 
     Families and degrees:
@@ -154,13 +159,10 @@ class BaseDescriptor:
     with s, e in {0, 1}.
     """
 
-    family: str
-    m: int = 0
-    sigma: int = 0
-    k: int = 0
-    eps: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.family not in ("power", "bracket", "u_family", "z_family"):
             raise ValueError(f"unknown family {self.family!r}")
         if self.m < 0 or self.sigma not in (0, 1):
@@ -178,6 +180,7 @@ class BaseDescriptor:
                 raise ValueError("eps must be 0 or 1")
         elif self.eps != 0:
             raise ValueError(f"{self.family} family takes no eps")
+        return self
 
     @property
     def degree(self) -> int:
@@ -302,14 +305,11 @@ def alternating_space(m: int, config=DEFAULT_CONFIG) -> ComponentSpace:
                            config)
 
 
-@dataclass
-class SkewDecomposition:
-    m: int
-    status: str            # "ok" | "no_solution"
-    alpha: object = None
-    beta: object = None    # None when the z term is absent or zero
-    beta_free: bool = False
-    certificate: object = None  # target: fm - alpha*skew(x^[m]) - beta*skew(z^[m-2])
+# status is "ok" or "no_solution"; beta is None when the z term is absent or
+# zero; certificate's target is fm - alpha*skew(x^[m]) - beta*skew(z^[m-2]).
+SkewDecomposition = namedtuple("SkewDecomposition",
+                               "m status alpha beta beta_free certificate",
+                               defaults=(None, None, False, None))
 
 
 def solve_skew_decomposition(m: int, config=DEFAULT_CONFIG) -> SkewDecomposition:

@@ -35,7 +35,6 @@ by ids.
 
 import json
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
@@ -50,20 +49,20 @@ from .words import (HOLE, _words_for, enumerate_words, flatten, format_word,
                     md_key, multidegree_of, relabel, word_count)
 
 
-@dataclass(frozen=True)
-class Variety:
+class Variety(namedtuple("Variety", "name identities")):
     """A named set of multilinear identities; each uses variables x1..xk."""
 
-    name: str
-    identities: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for f in self.identities:
             if not f.is_multilinear():
                 raise ValueError("variety identities must be multilinear")
             (md,) = f.multidegrees()
             if [v for v, _ in md] != list(range(1, len(md) + 1)):
                 raise ValueError(f"identity {format_poly(f)} must use exactly x1..xk")
+        return self
 
 
 VARIETIES = ("assoc", "alt", "flex", "ncj_cor1", "free", "custom")
@@ -289,14 +288,12 @@ class _WordTable:
         return out
 
 
-@dataclass
-class MembershipCertificate:
-    """Exact witness: target = sum of coefficient * expanded descriptor."""
+class MembershipCertificate(namedtuple("MembershipCertificate",
+                                       "target variety_name multidegree entries")):
+    """Exact witness: target = sum of coefficient * expanded descriptor.
+    entries is a list of (GenDescriptor, coefficient)."""
 
-    target: MultiPoly
-    variety_name: str
-    multidegree: dict
-    entries: list  # (GenDescriptor, coefficient)
+    __slots__ = ()
 
     def to_json(self, variety: Variety) -> dict:
         texts = {i: format_poly(variety.identities[i])  # once per identity used
@@ -531,11 +528,9 @@ def component_dimension(variety: Variety, multidegree: dict,
     return component_space(variety, multidegree, config).dimension()
 
 
-@dataclass
-class MembershipResult:
-    member: bool
-    certificates: list  # one MembershipCertificate per multidegree component
-    witness: object     # leading word of a failing component, else None
+# certificates: one MembershipCertificate per multidegree component;
+# witness: the leading word of a failing component, else None.
+MembershipResult = namedtuple("MembershipResult", "member certificates witness")
 
 
 def is_member(p: MultiPoly, variety: Variety, config=DEFAULT_CONFIG) -> MembershipResult:

@@ -11,7 +11,7 @@ the config names a certificate directory.
 import os
 import random
 import time
-from dataclasses import asdict, dataclass, field
+from collections import namedtuple
 from itertools import chain, combinations, product
 from math import factorial
 
@@ -28,17 +28,20 @@ from .variety import (builtin_variety, component_dimension, consequence_generato
 from .words import enumerate_words, format_word, leaves
 
 
-@dataclass
-class Report:
-    check: str
-    params: dict
-    verdict: str  # pass | fail | resource_limit
-    details: dict = field(default_factory=dict)
-    certificates: list = field(default_factory=list)  # file paths
-    elapsed_ms: int = 0
+class Report(namedtuple("Report", "check params verdict details certificates elapsed_ms")):
+    """verdict is pass, fail or resource_limit; certificates are file paths."""
+
+    __slots__ = ()
+
+    def __new__(cls, check, params, verdict, details=None, certificates=None,
+                elapsed_ms=0):
+        # a fresh dict and list per report, never one shared default
+        return super().__new__(cls, check, params, verdict,
+                               {} if details is None else details,
+                               [] if certificates is None else certificates, elapsed_ms)
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _member_check(p, variety_name, config):
@@ -358,11 +361,8 @@ def check_engine_soundness(params, config):
     return "pass", details, []
 
 
-@dataclass(frozen=True)
-class CheckDef:
-    runner: object
-    defaults: dict
-    lowest: dict  # the least value of each parameter
+# lowest holds the least value of each parameter.
+CheckDef = namedtuple("CheckDef", "runner defaults lowest")
 
 
 CHECKS = {

@@ -108,6 +108,11 @@ def test_x_bracket_values():
     assert x_bracket(3).poly == parse_poly("2*((x1*x1)*x1) - 2*(x1*(x1*x1))")
     assert x_bracket(4).parity == 0
     assert t_element().poly == x_bracket(2).poly
+    # a SuperWord is a tuple underneath, yet + and n * neither join nor repeat it
+    with pytest.raises(TypeError):
+        x_bracket(2) + x_bracket(3)
+    with pytest.raises(TypeError):
+        2 * x_bracket(2)
 
 
 def test_z_and_u_words():

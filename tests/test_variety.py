@@ -1,6 +1,5 @@
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -349,7 +348,8 @@ def test_component_space_cache_evicts_least_recently_used(config):
     variety.clear_space_cache()
     cap = variety._cached_space.cache_info().maxsize
     # max_generators is part of the key, so each value is its own entry
-    configs = [replace(config, max_generators=1000 + i) for i in range(cap + 1)]
+    configs = [Config(**{**config._asdict(), "max_generators": 1000 + i})
+               for i in range(cap + 1)]
     spaces = [component_space(FLEX, md(1, 1), c) for c in configs[:cap]]
     assert component_space(FLEX, md(1, 1), configs[0]) is spaces[0]  # a hit refreshes
     component_space(FLEX, md(1, 1), configs[cap])
