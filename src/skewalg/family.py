@@ -28,7 +28,7 @@ from .config import DEFAULT_CONFIG
 from .poly import MultiPoly, _wrap, add_terms, gc_paused, multiply
 from .symmetrize import as_one_variable, permutation_sign, skew
 from .variety import ComponentSpace, builtin_variety, component_space
-from .words import flatten
+from .words import flatten, split_words
 
 
 @lru_cache(maxsize=None)
@@ -264,26 +264,8 @@ def n_bound(m: int) -> int:
 
 def associative_projection(p: MultiPoly) -> dict:
     """Image under forgetting the bracketing: word -> tuple of its leaves."""
-    memo = {}  # id of a subword object -> its leaves; p keeps them alive
-    return add_terms({}, ((_leaves(w, memo), c) for w, c in p.terms.items()))
-
-
-def _leaves(w, memo):
-    """The leaves of w, its children's leaves joined.
-
-    Each child's tuple is kept in memo under the child's id, so a subword
-    object is split once however many words hold it; w's own is not, as
-    a term's word is met once.
-    """
-    if isinstance(w, int):
-        return (w,)
-    left, right = w
-    left_leaves, right_leaves = memo.get(id(left)), memo.get(id(right))
-    if left_leaves is None:
-        left_leaves = memo[id(left)] = _leaves(left, memo)
-    if right_leaves is None:
-        right_leaves = memo[id(right)] = _leaves(right, memo)
-    return left_leaves + right_leaves
+    return add_terms({}, ((order, c) for (_, order), c
+                          in zip(split_words(p.terms), p.terms.values())))
 
 
 def standard_polynomial(n: int) -> dict:

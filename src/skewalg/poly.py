@@ -22,7 +22,7 @@ import re
 from contextlib import contextmanager
 from fractions import Fraction
 
-from .words import HOLE, degree, format_word, md_key, multidegree_of, relabel, sort_key
+from .words import HOLE, degree, format_word, md_key, multidegree_of, relabel
 
 
 class ParseError(ValueError):
@@ -113,10 +113,6 @@ class MultiPoly:
 
     def __len__(self):
         return len(self.terms)
-
-    def items(self):
-        """Terms in canonical word order."""
-        return sorted(self.terms.items(), key=lambda t: sort_key(t[0]))
 
     def variables(self) -> set:
         vs = set()

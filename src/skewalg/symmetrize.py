@@ -10,19 +10,20 @@ assignment changes the result by the sign of the connecting permutation.
 No 1/n! normalization is applied anywhere, so integral inputs stay
 integral and certificates remain exact.
 
-alternate, and with it skew, fills each bracketing shape by recursion over
-its tree: a node's words, kept in one list per sign, are the products of
-its children's lists over every split of its variables, memoised per
-subshape and variable set.  So every distinct subword is one tuple, shared
-by all the words that hold it, and the collector has far fewer objects to
-track.  is_skew_symmetric splits each shared subword object once per call.
+alternate and is_skew_symmetric read each term as its bracketing shape
+and its leaf order, from words.split_words.  alternate, and with it skew,
+fills each shape by recursion over its tree: a node's words, kept in one
+list per sign, are the products of its children's lists over every split
+of its variables, memoised per subshape and variable set.  So every
+distinct subword is one tuple, shared by all the words that hold it, and
+the collector has far fewer objects to track.
 """
 
 from itertools import chain, combinations, permutations, product, repeat
 from math import factorial
 
 from .poly import MultiPoly, _wrap, add_terms, gc_paused, relabel_poly
-from .words import degree, relabel
+from .words import degree, split_words
 
 
 def permutation_sign(perm) -> int:
@@ -83,8 +84,8 @@ def alternate(p: MultiPoly) -> MultiPoly:
     """Sum of sgn(s) * s(p) over all permutations s of p's variables.
 
     Requires p multilinear; alternate(alternate(p)) = n! * alternate(p).
-    Computed once per positional shape, not once per term: writing each
-    term as fill(shape, order), with order its leaves left to right,
+    Computed once per shape, not once per term: writing each term as
+    fill(shape, order), its split by words.split_words,
 
         alternate(p) = sum over shapes, over permutations t of the variables,
                        of sgn(t) * C_shape * fill(shape, t),
@@ -100,23 +101,18 @@ def alternate(p: MultiPoly) -> MultiPoly:
     if not p.is_multilinear():
         raise ValueError("alternate requires a multilinear polynomial")
 
-    def signed_shapes():
-        for w, c in p.terms.items():
-            order = []
-            shape = _positional(w, order)
-            yield shape, permutation_sign(order) * c
-    shapes = add_terms({}, signed_shapes())
+    shapes = add_terms({}, ((shape, permutation_sign(order) * c) for (shape, order), c
+                            in zip(split_words(p.terms), p.terms.values())))
     variables = tuple(sorted(p.variables()))
-    blank = dict.fromkeys(range(1, len(variables) + 1), 0)
     memo = {}
     out = {}
     with gc_paused():
         for shape, c in shapes.items():
-            if shape == 1:  # the one-leaf shape: p is c * x_v
+            if shape == 0:  # the one-leaf shape: p is c * x_v
                 out[variables[0]] = c
                 continue
             plus, minus = repeat(c), repeat(-c)
-            for positive, negative in _splits(relabel(shape, blank), variables, memo):
+            for positive, negative in _splits(shape, variables, memo):
                 out.update(zip(positive, plus))
                 out.update(zip(negative, minus))
     return _wrap(out)
@@ -181,18 +177,14 @@ def is_skew_symmetric(p: MultiPoly) -> bool:
     equivalent to p being multilinear with every collapse(p, i, j) zero; the
     zero polynomial passes.
 
-    A node's shape is numbered by its children's shape numbers and its leaf
-    order is theirs joined, so each subword object is split once per call
-    however many words hold it (see _split).
+    The split comes from words.split_words, which splits each subword
+    object once per call however many words hold it.
     """
-    numbers = {}  # (left shape, right shape) -> shape number; a leaf is shape 0
-    memo = {}     # id of a subword object -> _split of it; p keeps them alive
-    signs = {}    # leaf order -> its sign, once checked against the variables
-    shapes = {}   # shape number -> [sgn(order) * coefficient, orders seen]
+    signs = {}   # leaf order -> its sign, once checked against the variables
+    shapes = {}  # shape -> [sgn(order) * coefficient, orders seen]
     variables = None
     with gc_paused():
-        for w, c in p.terms.items():
-            shape, order = _split(w, memo, numbers)
+        for (shape, order), c in zip(split_words(p.terms), p.terms.values()):
             sign = signs.get(order)
             if sign is None:
                 if variables is None:
@@ -209,28 +201,6 @@ def is_skew_symmetric(p: MultiPoly) -> bool:
                 entry[1] += 1
     n_orders = factorial(len(variables or ()))
     return all(count == n_orders for _, count in shapes.values())
-
-
-def _split(w, memo, numbers):
-    """(shape number, leaf order) of w, from its children's.
-
-    Each child's pair is kept in memo under the child's id; w's own is not,
-    as a term's word is met once.  numbers assigns each new pair of child
-    shape numbers the next number.
-    """
-    if isinstance(w, int):
-        return 0, (w,)
-    left, right = w
-    left_split, right_split = memo.get(id(left)), memo.get(id(right))
-    if left_split is None:
-        left_split = memo[id(left)] = _split(left, memo, numbers)
-    if right_split is None:
-        right_split = memo[id(right)] = _split(right, memo, numbers)
-    key = left_split[0], right_split[0]
-    shape = numbers.get(key)
-    if shape is None:
-        shape = numbers[key] = len(numbers) + 1
-    return shape, left_split[1] + right_split[1]
 
 
 def collapse(p: MultiPoly, i: int, j: int) -> MultiPoly:

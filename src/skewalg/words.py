@@ -59,6 +59,32 @@ def relabel(w, mapping):
     return (relabel(w[0], mapping), relabel(w[1], mapping))
 
 
+def split_words(words):
+    """Yield (shape, leaf order) for each word, lazily: the shape is the word
+    with every leaf 0 and the order its leaves left to right.
+
+    A node's shape pairs its children's and its order joins theirs; each
+    subword object is split once per call however many words hold it, and
+    looked up by id, so the words must stay alive while the iterator runs.
+    """
+    memo = {}  # id of a subword object -> its split; a word's own is not kept
+    for w in words:
+        yield _split(w, memo)
+
+
+def _split(w, memo):
+    """(shape, leaf order) of w, from its children's kept in memo."""
+    if isinstance(w, int):
+        return 0, (w,)
+    left, right = w
+    left_split, right_split = memo.get(id(left)), memo.get(id(right))
+    if left_split is None:
+        left_split = memo[id(left)] = _split(left, memo)
+    if right_split is None:
+        right_split = memo[id(right)] = _split(right, memo)
+    return (left_split[0], right_split[0]), left_split[1] + right_split[1]
+
+
 def flatten(words, n: int) -> tuple:
     """(nodes, roots) for words whose leaves are variables 1..n-1.
 

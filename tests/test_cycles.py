@@ -1,5 +1,6 @@
 """Term data makes no reference cycles, so pausing the cyclic collector
-while terms are built frees nothing late (see the README design notes)."""
+while terms are built frees nothing late (see the README design notes),
+and only the word module keys memos by object identity."""
 
 import ast
 import gc
@@ -7,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from skewalg.family import fm, solve_skew_decomposition
+from skewalg.family import associative_projection, fm, solve_skew_decomposition
+from skewalg.poly import MultiPoly
+from skewalg.symmetrize import is_skew_symmetric
 from skewalg.variety import ComponentSpace, builtin_variety
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "skewalg").glob("*.py"))
@@ -44,6 +47,27 @@ def test_recursive_closure_is_found():
     assert _recursive_closures(tree) == [(2, "walk")]
 
 
+def _id_calls(tree):
+    """Lines that call the builtin id."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "id")
+
+
+def test_only_words_keys_by_identity():
+    # words.split_words and words.flatten own the id-keyed memos
+    callers = {path.name for path in SOURCES
+               if _id_calls(ast.parse(path.read_text(), str(path)))}
+    assert callers == {"words.py"}
+
+
+def test_id_call_is_found():
+    tree = ast.parse("memo = {}\n"
+                     "def key(w):\n"
+                     "    return memo.get(id(w)), w.id(), identity(w)\n")
+    assert _id_calls(tree) == [3]
+
+
 def _saturate_flex_211(tmp_path):
     flex = builtin_variety("flex")
     return lambda: ComponentSpace(flex, {1: 2, 2: 1, 3: 1}).saturate()
@@ -54,14 +78,28 @@ def _build_fm_6(tmp_path):
     return lambda: fm.__wrapped__(6)
 
 
+def _split_fm_6(tmp_path):
+    p = fm(6)
+    terms = dict(p.terms)
+    terms[list(terms)[len(terms) // 2]] += 1  # fails midway, abandoning the split
+    broken = MultiPoly(terms)
+
+    def run():
+        assert is_skew_symmetric(p)
+        associative_projection(p)
+        assert not is_skew_symmetric(broken)
+    return run
+
+
 def _write_lemma3_certificate(tmp_path):
     cert = solve_skew_decomposition(5).certificate
     alt = builtin_variety("alt")
     return lambda: cert.write(str(tmp_path / "lemma3.json"), alt)
 
 
-@pytest.mark.parametrize("prepare", [_saturate_flex_211, _build_fm_6, _write_lemma3_certificate],
-                         ids=["saturate-flex-211", "fm-6", "write-lemma3-m5"])
+@pytest.mark.parametrize("prepare", [_saturate_flex_211, _build_fm_6, _split_fm_6,
+                                     _write_lemma3_certificate],
+                         ids=["saturate-flex-211", "fm-6", "split-fm-6", "write-lemma3-m5"])
 def test_leaves_no_cyclic_garbage(tmp_path, prepare):
     run = prepare(tmp_path)
     gc.collect()

@@ -89,10 +89,11 @@ def test_eq6_check(config):
 def test_lemma1_fail_reports_nonvanishing_pairs(config, monkeypatch):
     from skewalg.family import fm
     from skewalg.symmetrize import collapse
-    from skewalg.words import relabel
+    from skewalg.words import relabel, sort_key
 
     f = fm(4)
-    word, c = f.items()[0]
+    word = min(f.terms, key=sort_key)  # the first word in canonical order
+    c = f.terms[word]
     one_coefficient = MultiPoly({**f.terms, word: c + 1})
     # antisymmetric under x1 <-> x2 only, so collapse(., 1, 2) still vanishes
     swapped = relabel(word, {1: 2, 2: 1})

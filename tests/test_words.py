@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 
 from oracles import relabel_shared
 from skewalg.words import (HOLE, degree, enumerate_words, format_word, leaves,
-                           md_key, multidegree_of, relabel, sort_key, word_count)
+                           md_key, multidegree_of, relabel, sort_key, split_words,
+                           word_count)
 
 
 def test_degree_and_leaves():
@@ -143,6 +144,32 @@ def test_relabel_shared_matches_plain(words, mapping):
             for child, child_image in zip(w, image):
                 if not isinstance(child, int):
                     assert child_image is image_of[id(child)]
+
+
+def _refill(shape, order):
+    """shape with its leaves taken from the iterator order, left to right."""
+    if shape == 0:
+        return next(order)
+    return (_refill(shape[0], order), _refill(shape[1], order))
+
+
+def test_split_words_example():
+    s = (1, 2)
+    assert list(split_words([(s, (3, s)), 4])) == [(((0, 0), (0, (0, 0))), (1, 2, 3, 1, 2)),
+                                                   (0, (4,))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_words_sharing_subwords())
+def test_split_words_matches_plain_walk(words):
+    splits = list(split_words(words))
+    assert len(splits) == len(words)
+    for w, (shape, order) in zip(words, splits):
+        assert shape == relabel(w, {v: 0 for v in leaves(w)})
+        assert order == tuple(leaves(w))
+        rest = iter(order)
+        assert _refill(shape, rest) == w
+        assert next(rest, None) is None
 
 
 def test_md_key_normalization():
