@@ -18,7 +18,6 @@ from .variety import (ComponentSpace, GenDescriptor, MembershipCertificate,
                       clear_space_cache, component_dimension, component_space,
                       consequence_generators, expand_descriptor, is_member)
 from .verify import CHECKS, DESK_SUITE, Report, verify
-from .words import (HOLE, degree, enumerate_words, format_word, leaves,
-                    multidegree_of, word_count)
+from .words import HOLE, degree, enumerate_words, format_word, leaves, word_count
 
 __version__ = "0.1.0"

@@ -31,7 +31,7 @@ _VERIFY_FLAGS = tuple("--" + key.replace("_", "-") for key in _VERIFY_PARAMS)
 
 def _parse_multidegree(text: str) -> dict:
     try:
-        exps = [int(part) for part in text.split(",") if part.strip() != ""]
+        exps = [int(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError("multidegree must be ints like 3,1,1")
     if not exps or any(e < 1 for e in exps):

@@ -19,10 +19,11 @@ after.  Integer work therefore never pays for rational normalisation.
 
 import gc
 import re
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 
-from .words import HOLE, degree, format_word, md_key, multidegree_of, relabel
+from .words import HOLE, degree, format_word, md_key, relabel, split_words
 
 
 class ParseError(ValueError):
@@ -116,19 +117,19 @@ class MultiPoly:
 
     def variables(self) -> set:
         vs = set()
-        for w in self.terms:
-            vs.update(multidegree_of(w))
+        for _, order in split_words(self.terms):
+            vs.update(order)
         vs.discard(HOLE)
         return vs
 
     def multidegrees(self) -> set:
-        return {md_key(multidegree_of(w)) for w in self.terms}
+        return {md_key(Counter(order)) for _, order in split_words(self.terms)}
 
     def homogeneous_components(self) -> dict:
         """Group terms by multidegree; keys are md_key tuples."""
         comps = {}
-        for w, c in self.terms.items():
-            comps.setdefault(md_key(multidegree_of(w)), {})[w] = c
+        for (w, c), (_, order) in zip(self.terms.items(), split_words(self.terms)):
+            comps.setdefault(md_key(Counter(order)), {})[w] = c
         return {k: MultiPoly(v) for k, v in comps.items()}
 
     def is_multilinear(self) -> bool:

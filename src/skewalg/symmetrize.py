@@ -3,27 +3,29 @@ variable collapse.
 
 The skew operator sends a one-variable element u of degree n to the signed
 sum over all n! relabellings of the multilinear representative obtained by
-naming the leaves x1..xn left-to-right.  The representative choice only
-fixes the output up to the documented convention: any other fixed leaf
-assignment changes the result by the sign of the connecting permutation.
+naming the leaves x1..xn left-to-right: words.fill(shape, 1..n) of each
+term's shape.  The representative choice only fixes the output up to the
+documented convention: any other fixed leaf assignment changes the result
+by the sign of the connecting permutation.
 
 No 1/n! normalization is applied anywhere, so integral inputs stay
 integral and certificates remain exact.
 
-alternate and is_skew_symmetric read each term as its bracketing shape
-and its leaf order, from words.split_words.  alternate, and with it skew,
-fills each shape by recursion over its tree: a node's words, kept in one
-list per sign, are the products of its children's lists over every split
-of its variables, memoised per subshape and variable set.  So every
-distinct subword is one tuple, shared by all the words that hold it, and
-the collector has far fewer objects to track.
+skew, alternate, is_skew_symmetric and linearize read each term as its
+bracketing shape and its leaf order, from words.split_words; skew and
+linearize rebuild words from such pairs with its inverse, words.fill.
+alternate, and with it skew, fills each shape by recursion over its tree:
+a node's words, kept in one list per sign, are the products of its
+children's lists over every split of its variables, memoised per subshape
+and variable set.  So every distinct subword is one tuple, shared by all
+the words that hold it, and the collector has far fewer objects to track.
 """
 
 from itertools import chain, combinations, permutations, product, repeat
 from math import factorial
 
 from .poly import MultiPoly, _wrap, add_terms, gc_paused, relabel_poly
-from .words import degree, split_words
+from .words import degree, fill, split_words
 
 
 def permutation_sign(perm) -> int:
@@ -56,28 +58,18 @@ def as_one_variable(p: MultiPoly):
     return var, deg
 
 
-def _positional(w, order):
-    """Relabel leaves by their left-to-right position 1..n.
-
-    The original leaves are appended to order, left to right.
-    """
-    if isinstance(w, int):
-        order.append(w)
-        return len(order)
-    return (_positional(w[0], order), _positional(w[1], order))
-
-
 def skew(u: MultiPoly) -> MultiPoly:
     """Signed symmetrization of a one-variable element over x1..xn.
 
-    Linear in u: the alternate of u's positional representative.  The
-    output is multilinear and vanishes under any collapse of two variables.
+    Linear in u: the alternate of u's positional representative, each
+    term's shape filled with 1..n.  The output is multilinear and vanishes
+    under any collapse of two variables.
     """
     if u.is_zero():
         return MultiPoly.zero()
-    as_one_variable(u)
-    return alternate(MultiPoly.from_pairs((_positional(w, []), c)
-                                          for w, c in u.terms.items()))
+    positions = range(1, as_one_variable(u)[1] + 1)
+    return alternate(MultiPoly.from_pairs((fill(shape, positions), c) for (shape, _), c
+                                          in zip(split_words(u.terms), u.terms.values())))
 
 
 def alternate(p: MultiPoly) -> MultiPoly:
@@ -215,24 +207,18 @@ def linearize(p: MultiPoly) -> MultiPoly:
     all k! placements, without dividing by factorials.  Fresh variables are
     numbered 1..n in blocks following the sorted original variables, so the
     result is multilinear in x1..xn.  Sending every fresh variable back to
-    its original recovers (prod k_v!) * p.
+    its original recovers (prod k_v!) * p.  Each term's shape is filled
+    once per placement, its leaves of variable v taking v's fresh labels in
+    the placement's order, read off the term's leaf order.
     """
     md = homogeneous_multidegree(p)
     vs = sorted(md)
-    blocks = {}
-    offset = 0
+    blocks, offset = [], 0
     for v in vs:
-        blocks[v] = list(range(offset + 1, offset + 1 + md[v]))
+        blocks.append(permutations(range(offset + 1, offset + 1 + md[v])))
         offset += md[v]
+    placements = list(product(*blocks))
     return MultiPoly.from_pairs(
-        (_linearize_word(w, dict(zip(vs, map(list, choice)))), c)
-        for w, c in p.terms.items()
-        for choice in product(*(permutations(blocks[v]) for v in vs)))
-
-
-def _linearize_word(w, labels):
-    """Relabel leaves consuming each variable's fresh-label list left-to-right."""
-    if isinstance(w, int):
-        return labels[w].pop(0)
-    return (_linearize_word(w[0], labels), _linearize_word(w[1], labels))
-
+        (fill(shape, [next(fresh[v]) for v in order]), c)
+        for (shape, order), c in zip(split_words(p.terms), p.terms.values())
+        for fresh in (dict(zip(vs, map(iter, choice))) for choice in placements))

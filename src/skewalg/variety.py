@@ -46,7 +46,7 @@ from .poly import (MultiPoly, add_terms, associator, commutator, format_poly,
                    multiply, parse_poly, parse_word, relabel_poly)
 from .symmetrize import linearize
 from .words import (HOLE, _words_for, enumerate_words, flatten, format_word,
-                    md_key, multidegree_of, relabel, word_count)
+                    leaves, md_key, relabel, word_count)
 
 
 class Variety(namedtuple("Variety", "name identities")):
@@ -253,7 +253,7 @@ class _WordTable:
         node = ctx
         while node != HOLE:
             left, right = node
-            if HOLE in multidegree_of(left):
+            if HOLE in leaves(left):
                 path.append((self.size, self.ids[right]))
                 node = left
             else:
@@ -355,7 +355,7 @@ class MembershipCertificate(namedtuple("MembershipCertificate",
         for desc, _ in self.entries:
             if not (0 <= desc.identity_index < len(arity)
                     and len(desc.substitution) == arity[desc.identity_index]
-                    and multidegree_of(desc.context).get(HOLE) == 1):
+                    and leaves(desc.context).count(HOLE) == 1):
                 return False
         # sum in integers: scale the coefficients, and the target, by the
         # lcm of the coefficient denominators

@@ -24,23 +24,6 @@ def degree(w) -> int:
     return degree(w[0]) + degree(w[1])
 
 
-def leaves(w):
-    """Leaf variables left-to-right."""
-    if isinstance(w, int):
-        yield w
-    else:
-        yield from leaves(w[0])
-        yield from leaves(w[1])
-
-
-def multidegree_of(w) -> dict:
-    """Leaf-occurrence count per variable."""
-    md = {}
-    for v in leaves(w):
-        md[v] = md.get(v, 0) + 1
-    return md
-
-
 def format_word(w) -> str:
     if isinstance(w, int):
         return "_" if w == HOLE else f"x{w}"
@@ -66,8 +49,10 @@ def split_words(words):
     A node's shape pairs its children's and its order joins theirs; each
     subword object is split once per call however many words hold it, and
     looked up by id, so the words must stay alive while the iterator runs.
+    Equal shapes met in one call are one object.
     """
-    memo = {}  # id of a subword object -> its split; a word's own is not kept
+    memo = {}  # id of a subword object -> its split (a word's own is not
+               # kept); a shape -> itself, the one object of its value
     for w in words:
         yield _split(w, memo)
 
@@ -82,7 +67,26 @@ def _split(w, memo):
         left_split = memo[id(left)] = _split(left, memo)
     if right_split is None:
         right_split = memo[id(right)] = _split(right, memo)
-    return (left_split[0], right_split[0]), left_split[1] + right_split[1]
+    shape = (left_split[0], right_split[0])
+    return memo.setdefault(shape, shape), left_split[1] + right_split[1]
+
+
+def fill(shape, order):
+    """The word of shape with its leaves taken from order left to right:
+    the inverse of split_words, fill(*split) == word."""
+    return _fill(shape, iter(order))
+
+
+def _fill(shape, order):
+    """fill's recursion; order is an iterator, consumed left to right."""
+    if isinstance(shape, int):
+        return next(order)
+    return (_fill(shape[0], order), _fill(shape[1], order))
+
+
+def leaves(w) -> tuple:
+    """Leaf variables left to right: w's split order."""
+    return next(split_words((w,)))[1]
 
 
 def flatten(words, n: int) -> tuple:

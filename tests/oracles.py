@@ -17,19 +17,23 @@ fm_by_relabel with one relabel_shared per term, both separate from
 skewalg.family's flattened relabelling; relabel_shared is words.relabel
 with subtrees shared in the input kept shared in the output.
 alternate_by_relabel alternates term by term, separate from
-skewalg.symmetrize's per-shape alternation.
+skewalg.symmetrize's per-shape alternation, and linearize_by_relabel
+relabels each word's leaves one by one, separate from linearize's
+shape filling.  leaves_by_text reads a word's leaves off its text,
+separate from skewalg.words.split_words.
 """
 
 import heapq
+import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 from math import gcd, lcm
 
 from skewalg.linalg import EchelonAccumulator
 from skewalg.poly import MultiPoly, add_terms, commutator, substitute
 from skewalg.variety import _slot_orbits, consequence_generators, expand_descriptor
-from skewalg.words import enumerate_words, relabel
+from skewalg.words import HOLE, enumerate_words, format_word, relabel
 
 
 def dense_matrix(sparse_rows, dim):
@@ -387,3 +391,28 @@ def alternate_by_relabel(p: MultiPoly) -> MultiPoly:
     perms = [(_sign(s), dict(zip(vs, s))) for s in permutations(vs)]
     return MultiPoly.from_pairs((relabel(w, mapping), sign * c)
                                 for w, c in p.terms.items() for sign, mapping in perms)
+
+
+def linearize_by_relabel(p: MultiPoly) -> MultiPoly:
+    """Full multilinearization, each word rebuilt leaf by leaf: the leaves of
+    variable v take the fresh labels of v's block in a placement's order."""
+    (md,) = p.multidegrees()
+    blocks, offset = [], 0
+    for v, e in md:
+        blocks.append(permutations(range(offset + 1, offset + 1 + e)))
+        offset += e
+    vs, placements = [v for v, _ in md], list(product(*blocks))
+    return MultiPoly.from_pairs((_relabel_consuming(w, dict(zip(vs, map(list, choice)))), c)
+                                for w, c in p.terms.items() for choice in placements)
+
+
+def _relabel_consuming(w, labels):
+    """w with each leaf v replaced by the next label popped from labels[v]."""
+    if isinstance(w, int):
+        return labels[w].pop(0)
+    return (_relabel_consuming(w[0], labels), _relabel_consuming(w[1], labels))
+
+
+def leaves_by_text(w) -> tuple:
+    """w's leaves left to right, read off its text (the hole prints as _)."""
+    return tuple(int(v or HOLE) for v in re.findall(r"x(\d+)|_", format_word(w)))

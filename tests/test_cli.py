@@ -151,10 +151,13 @@ def test_usage_error_exit_2(capsys):
     assert e.value.code == 2
 
 
-def test_bad_multidegree(capsys):
+@pytest.mark.parametrize("multideg", ["0,1", "2,,1", "2,1,", ",2", ""],
+                         ids=["zero", "empty-inner", "empty-last", "empty-first", "empty"])
+def test_bad_multidegree(capsys, multideg):
     with pytest.raises(SystemExit) as e:
-        main(["dim", "--variety", "alt", "--multideg", "0,1"])
+        main(["dim", "--variety", "alt", "--multideg", multideg])
     assert e.value.code == 2
+    assert "--multideg" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["dim", "--multideg", "1,1"], ["member", "--input", "{poly}"]],

@@ -1,20 +1,21 @@
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations, count, permutations
+from itertools import combinations, permutations
 from math import factorial, prod
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import alternate_by_relabel
+from oracles import alternate_by_relabel, linearize_by_relabel
 
+from skewalg import family, symmetrize, words
 from skewalg.family import associative_projection, fm, x_bracket, z_word
 from skewalg.poly import MultiPoly, multiply, parse_poly, relabel_poly
 from skewalg.symmetrize import (alternate, as_one_variable, collapse,
                                 is_skew_symmetric, linearize,
                                 permutation_sign, skew)
-from skewalg.words import enumerate_words, relabel
+from skewalg.words import enumerate_words, fill, relabel, split_words
 
 
 def one_var_words(n):
@@ -97,9 +98,29 @@ def test_linearize_then_restrict_is_factorial_multiple(case):
     assert relabel_poly(lin, back) == p.scale(prod(factorial(e) for e in md.values()))
 
 
+@settings(max_examples=300, deadline=None)
+@given(_multihomogeneous())
+@example(({1: 2, 2: 2}, parse_poly("((x1*x2)*(x2*x1)) - 2*((x2*x1)*(x1*x2)) + (x1*(x1*(x2*x2)))")))
+@example(({3: 3}, parse_poly("(x3*(x3*x3)) + ((x3*x3)*x3)")))
+def test_linearize_matches_relabel_oracle(case):
+    _, p = case
+    assume(not p.is_zero())
+    # the same terms in the same order
+    assert list(linearize(p).terms.items()) == list(linearize_by_relabel(p).terms.items())
+
+
 def test_linearize_rejects_inhomogeneous():
     with pytest.raises(ValueError):
         linearize(parse_poly("x1 + (x1*x1)"))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(x1*x2)", "element is not written in a single variable"),
+    ("x1 + (x1*x1)", "polynomial is not multihomogeneous"),
+])
+def test_skew_rejects(text, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        skew(parse_poly(text))
 
 
 def test_skew_square_is_commutator():
@@ -153,13 +174,10 @@ def test_skew_leaf_assignment_independence():
     for n in (2, 3, 4, 5):
         for w in rng.sample(one_var_words(n), min(4, len(one_var_words(n)))):
             base = skew(MultiPoly.monomial(w))
+            (shape, _), = split_words([w])
             for tau in (tuple(range(n, 0, -1)), tuple(rng.sample(range(1, n + 1), n))):
-                # relabel the left-to-right representative through tau, then alternate
-                from skewalg.symmetrize import _positional
-                pos = _positional(w, [])
-                mapping = {k + 1: tau[k] for k in range(n)}
-                from skewalg.words import relabel
-                v = MultiPoly.monomial(relabel(pos, mapping))
+                # name the leaves tau left to right instead of 1..n, then alternate
+                v = MultiPoly.monomial(fill(shape, tau))
                 assert alternate(v) == base.scale(permutation_sign(tau))
 
 
@@ -182,15 +200,6 @@ def test_alternate_rejects_nonmultilinear():
         alternate(parse_poly("(x1*x1)"))
 
 
-def _by_position(w):
-    """w with its leaves renamed 1..n left to right."""
-    position = count(1)
-
-    def walk(v):
-        return next(position) if isinstance(v, int) else (walk(v[0]), walk(v[1]))
-    return walk(w)
-
-
 @st.composite
 def _multilinear_by_shape(draw):
     """Multilinear polynomials with several leaf orders per shape; some
@@ -198,19 +207,18 @@ def _multilinear_by_shape(draw):
     variables = draw(st.lists(st.integers(1, 7), min_size=1, max_size=5, unique=True))
     n = len(variables)
     words = enumerate_words(dict.fromkeys(range(1, n + 1), 1))
-    shapes = sorted({_by_position(w) for w in words}, key=repr)
+    shapes = sorted({shape for shape, _ in split_words(words)}, key=repr)
     orders = list(permutations(variables))
     pairs = []
     for shape in draw(st.lists(st.sampled_from(shapes), min_size=1, max_size=4, unique=True)):
         coefficient = 0  # C_shape: sum of sgn(order) * c over the shape's terms
         for order in draw(st.lists(st.sampled_from(orders), min_size=1, max_size=4)):
             c = draw(_COEFFS)
-            pairs.append((relabel(shape, dict(zip(range(1, n + 1), order))), c))
+            pairs.append((fill(shape, order), c))
             coefficient += permutation_sign(order) * c
         if coefficient and draw(st.booleans()):
             order = draw(st.sampled_from(orders))
-            pairs.append((relabel(shape, dict(zip(range(1, n + 1), order))),
-                          -permutation_sign(order) * coefficient))
+            pairs.append((fill(shape, order), -permutation_sign(order) * coefficient))
     return MultiPoly.from_pairs(pairs)
 
 
@@ -231,7 +239,9 @@ def test_alternate_matches_relabel_oracle(p):
                                      *((z_word, k) for k in range(2, 6))])
 def test_skew_of_brackets_matches_relabel_oracle(build, k):
     u = build(k).poly
-    representative = MultiPoly.from_pairs((_by_position(w), c) for w, c in u.terms.items())
+    representative = MultiPoly.from_pairs(
+        (fill(shape, range(1, len(order) + 1)), c)
+        for (shape, order), c in zip(split_words(u.terms), u.terms.values()))
     assert skew(u) == alternate_by_relabel(representative)
 
 
@@ -268,19 +278,45 @@ def test_skew_peak_memory():
     assert peak <= 32 * 2**20
 
 
+_MEMO_PEAK, _MEMO_KEPT = 3 * 2**20, 2**16
+
+
+def _traced_memory(split, p):
+    """(kept, peak) bytes traced over split(p).  Two calls beforehand fill
+    CPython's tuple free lists, so that kept counts objects still alive and
+    not freed tuples parked there."""
+    split(p)
+    split(p)
+    tracemalloc.start()
+    try:
+        split(p)
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("split", [associative_projection, is_skew_symmetric])
 def test_node_memo_peak_memory(split):
     # the per-call memo holds fm(6)'s 12150 subword objects, not its 20160
     # words, and none of it outlives the call
-    p = fm(6)
-    tracemalloc.start()
-    try:
-        split(p)
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * 2**20
-    assert kept <= 2**20
+    kept, peak = _traced_memory(split, fm(6))
+    assert peak <= _MEMO_PEAK
+    assert kept <= _MEMO_KEPT
+
+
+@pytest.mark.parametrize("split", [associative_projection, is_skew_symmetric])
+def test_node_memo_kept_alive_is_caught(split, monkeypatch):
+    kept_memos = []
+
+    def keeping(ws):  # split_words, with each call's memo kept
+        memo = {}
+        kept_memos.append(memo)
+        for w in ws:
+            yield words._split(w, memo)
+    monkeypatch.setattr(symmetrize, "split_words", keeping)
+    monkeypatch.setattr(family, "split_words", keeping)
+    kept, _ = _traced_memory(split, fm(6))
+    assert kept > _MEMO_KEPT
 
 
 @st.composite

@@ -1,24 +1,30 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import relabel_shared
-from skewalg.words import (HOLE, degree, enumerate_words, format_word, leaves,
-                           md_key, multidegree_of, relabel, sort_key, split_words,
-                           word_count)
+from oracles import leaves_by_text, relabel_shared
+from skewalg.poly import MultiPoly
+from skewalg.words import (HOLE, degree, enumerate_words, fill, format_word, leaves,
+                           md_key, relabel, sort_key, split_words, word_count)
 
 
 def test_degree_and_leaves():
     w = ((1, 2), 3)
     assert degree(w) == 3
-    assert list(leaves(w)) == [1, 2, 3]
+    assert leaves(w) == (1, 2, 3)
+    assert leaves(5) == (5,)
+    assert leaves(((1, HOLE), 1)) == (1, HOLE, 1)
     assert degree(5) == 1
 
 
 def test_multidegree_examples():
-    assert multidegree_of((1, 2)) == {1: 1, 2: 1}
-    assert multidegree_of(((1, 1), 2)) == {1: 2, 2: 1}
-    assert multidegree_of(3) == {3: 1}
+    def multidegrees(w):
+        return MultiPoly.monomial(w).multidegrees()
+    assert multidegrees((1, 2)) == {((1, 1), (2, 1))}
+    assert multidegrees(((1, 1), 2)) == {((1, 2), (2, 1))}
+    assert multidegrees(3) == {((3, 1),)}
 
 
 def test_format_word():
@@ -40,7 +46,7 @@ def test_enumerate_word_counts(md, count):
     assert word_count(md) == count
     assert len(set(ws)) == count
     for w in ws:
-        assert multidegree_of(w) == md
+        assert Counter(leaves(w)) == md
 
 
 def _direct_words(leaf_seqs):
@@ -146,17 +152,22 @@ def test_relabel_shared_matches_plain(words, mapping):
                     assert child_image is image_of[id(child)]
 
 
-def _refill(shape, order):
-    """shape with its leaves taken from the iterator order, left to right."""
-    if shape == 0:
-        return next(order)
-    return (_refill(shape[0], order), _refill(shape[1], order))
+def _shape_nodes(shape, nodes):
+    """Add every internal node of shape to nodes, as value -> set of ids."""
+    stack = [shape]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, int):
+            nodes.setdefault(node, set()).add(id(node))
+            stack.extend(node)
 
 
 def test_split_words_example():
     s = (1, 2)
     assert list(split_words([(s, (3, s)), 4])) == [(((0, 0), (0, (0, 0))), (1, 2, 3, 1, 2)),
                                                    (0, (4,))]
+    assert fill(((0, 0), (0, (0, 0))), (1, 2, 3, 1, 2)) == (s, (3, s))
+    assert fill(0, [4]) == 4
 
 
 @settings(max_examples=300, deadline=None)
@@ -164,12 +175,14 @@ def test_split_words_example():
 def test_split_words_matches_plain_walk(words):
     splits = list(split_words(words))
     assert len(splits) == len(words)
+    nodes = {}
     for w, (shape, order) in zip(words, splits):
-        assert shape == relabel(w, {v: 0 for v in leaves(w)})
-        assert order == tuple(leaves(w))
-        rest = iter(order)
-        assert _refill(shape, rest) == w
-        assert next(rest, None) is None
+        assert order == leaves_by_text(w)
+        assert shape == relabel(w, dict.fromkeys(order, 0))
+        assert fill(shape, order) == w
+        _shape_nodes(shape, nodes)
+    # equal shapes, and equal subshapes, within one split are one object
+    assert all(len(ids) == 1 for ids in nodes.values())
 
 
 def test_md_key_normalization():
