@@ -233,7 +233,9 @@ def _core_degree(family: str, k: int, eps: int) -> int:
 def base_descriptors(degree: int) -> list:
     """All catalogue descriptors of the given degree, in a fixed order:
     family, then sigma, then k, then eps."""
-    if degree < 1:
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    if degree == 0:
         return []
     out = []
     for family in ("power", "bracket", "u_family", "z_family"):

@@ -115,15 +115,15 @@ class MultiPoly:
     def __len__(self):
         return len(self.terms)
 
-    def variables(self) -> set:
-        vs = set()
-        for _, order in split_words(self.terms):
-            vs.update(order)
-        vs.discard(HOLE)
-        return vs
-
-    def multidegrees(self) -> set:
-        return {md_key(Counter(order)) for _, order in split_words(self.terms)}
+    def multidegree(self) -> dict:
+        """{variable: exponent}, in ascending variables; {} for zero.  One
+        split pass, and each distinct leaf order is compared once with the
+        first one's sorted letters: raises ValueError if two terms differ."""
+        orders = dict.fromkeys(order for _, order in split_words(self.terms))
+        letters = sorted(next(iter(orders), ()))
+        if any(sorted(order) != letters for order in orders):
+            raise ValueError("polynomial is not multihomogeneous")
+        return dict(Counter(letters))
 
     def homogeneous_components(self) -> dict:
         """Group terms by multidegree; keys are md_key tuples."""
@@ -131,13 +131,6 @@ class MultiPoly:
         for (w, c), (_, order) in zip(self.terms.items(), split_words(self.terms)):
             comps.setdefault(md_key(Counter(order)), {})[w] = c
         return {k: MultiPoly(v) for k, v in comps.items()}
-
-    def is_multilinear(self) -> bool:
-        mds = self.multidegrees()
-        if len(mds) != 1:
-            return False
-        (md,) = mds
-        return all(e == 1 for _, e in md)
 
     # -- arithmetic --------------------------------------------------------
 

@@ -14,11 +14,13 @@ integral and certificates remain exact.
 skew, alternate, is_skew_symmetric and linearize read each term as its
 bracketing shape and its leaf order, from words.split_words; skew and
 linearize rebuild words from such pairs with its inverse, words.fill.
-alternate, and with it skew, fills each shape by recursion over its tree:
-a node's words, kept in one list per sign, are the products of its
-children's lists over every split of its variables, memoised per subshape
-and variable set.  So every distinct subword is one tuple, shared by all
-the words that hold it, and the collector has far fewer objects to track.
+alternate and is_skew_symmetric split p once, checking each distinct leaf
+order once in that pass; as_one_variable and linearize read the letters
+from MultiPoly.multidegree.  alternate, and with it skew, fills each shape
+by recursion over its tree: a node's words, kept in one list per sign, are
+the products of its children's lists over every split of its variables,
+memoised per subshape and variable set.  So every distinct subword is one
+tuple, shared by all words holding it, and the collector tracks far fewer.
 """
 
 from itertools import chain, combinations, permutations, product, repeat
@@ -39,19 +41,12 @@ def permutation_sign(perm) -> int:
     return sign
 
 
-def homogeneous_multidegree(p: MultiPoly) -> dict:
-    mds = p.multidegrees()
-    if len(mds) != 1:
-        raise ValueError("polynomial is not multihomogeneous")
-    return dict(mds.pop())
-
-
 def as_one_variable(p: MultiPoly):
     """Validate that every leaf of every word is the same variable.
 
     Returns (variable, degree); this is the OneVarElement contract.
     """
-    md = homogeneous_multidegree(p)
+    md = p.multidegree()
     if len(md) != 1:
         raise ValueError("element is not written in a single variable")
     (var, deg), = md.items()
@@ -90,12 +85,9 @@ def alternate(p: MultiPoly) -> MultiPoly:
     """
     if p.is_zero():
         return MultiPoly.zero()
-    if not p.is_multilinear():
-        raise ValueError("alternate requires a multilinear polynomial")
-
-    shapes = add_terms({}, ((shape, permutation_sign(order) * c) for (shape, order), c
-                            in zip(split_words(p.terms), p.terms.values())))
-    variables = tuple(sorted(p.variables()))
+    signs = {}
+    shapes = add_terms({}, _signed(p, signs))
+    variables = tuple(sorted(next(iter(signs))))
     memo = {}
     out = {}
     with gc_paused():
@@ -108,6 +100,19 @@ def alternate(p: MultiPoly) -> MultiPoly:
                 out.update(zip(positive, plus))
                 out.update(zip(negative, minus))
     return _wrap(out)
+
+
+def _signed(p: MultiPoly, signs: dict):
+    """(shape, sgn(order) * c) for each term of p, from one split.  signs
+    caches each distinct leaf order's sign, in the order first met; an
+    order is checked once, against the first order's distinct variables."""
+    for (shape, order), c in zip(split_words(p.terms), p.terms.values()):
+        sign = signs.get(order)
+        if sign is None:
+            if sorted(order) != sorted(set(next(iter(signs), order))):
+                raise ValueError("alternate requires a multilinear polynomial")
+            sign = signs[order] = permutation_sign(order)
+        yield shape, sign * c
 
 
 def _splits(skeleton, variables, memo):
@@ -211,14 +216,13 @@ def linearize(p: MultiPoly) -> MultiPoly:
     once per placement, its leaves of variable v taking v's fresh labels in
     the placement's order, read off the term's leaf order.
     """
-    md = homogeneous_multidegree(p)
-    vs = sorted(md)
+    md = p.multidegree()
     blocks, offset = [], 0
-    for v in vs:
-        blocks.append(permutations(range(offset + 1, offset + 1 + md[v])))
-        offset += md[v]
+    for e in md.values():
+        blocks.append(permutations(range(offset + 1, offset + 1 + e)))
+        offset += e
     placements = list(product(*blocks))
     return MultiPoly.from_pairs(
         (fill(shape, [next(fresh[v]) for v in order]), c)
         for (shape, order), c in zip(split_words(p.terms), p.terms.values())
-        for fresh in (dict(zip(vs, map(iter, choice))) for choice in placements))
+        for fresh in (dict(zip(md, map(iter, choice))) for choice in placements))

@@ -57,10 +57,10 @@ class Variety(namedtuple("Variety", "name identities")):
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         for f in self.identities:
-            if not f.is_multilinear():
+            md = f.multidegree()
+            if set(md.values()) != {1}:
                 raise ValueError("variety identities must be multilinear")
-            (md,) = f.multidegrees()
-            if [v for v, _ in md] != list(range(1, len(md) + 1)):
+            if list(md) != list(range(1, len(md) + 1)):
                 raise ValueError(f"identity {format_poly(f)} must use exactly x1..xk")
         return self
 
@@ -101,10 +101,11 @@ def builtin_variety(name: str, identity_polys=None) -> Variety:
     for p in identity_polys:
         if p.is_zero():
             continue
-        if len(p.multidegrees()) != 1:
+        try:
+            ids.append(linearize(p))
+        except ValueError:
             raise ValueError(
-                f"custom identity is not multihomogeneous: {format_poly(p)}")
-        ids.append(linearize(p))
+                f"custom identity is not multihomogeneous: {format_poly(p)}") from None
     return Variety("custom", tuple(ids))
 
 
@@ -165,7 +166,7 @@ def consequence_generators(variety: Variety, d: dict):
     """
     d = {v: e for v, e in d.items() if e}
     for idx, f in enumerate(variety.identities):
-        k = len(f.variables())
+        k = len(f.multidegree())
         if sum(d.values()) < k:
             continue
         for ctx_key, slot_keys in _splits(d, k):
@@ -236,7 +237,7 @@ class _WordTable:
                      if not isinstance(w, int)}
         # per identity: flatten's (nodes, roots) over its variables, and its
         # coefficients in term order
-        self.compiled = [(*flatten(f.terms, len(f.variables()) + 1),
+        self.compiled = [(*flatten(f.terms, len(f.multidegree()) + 1),
                           list(f.terms.values())) for f in identities]
         self._contexts = {}  # context word -> (number, path)
 
@@ -351,7 +352,7 @@ class MembershipCertificate(namedtuple("MembershipCertificate",
         """Re-expand without the solver and compare exactly.  Certificates may
         come from outside, so each descriptor must name an identity, give one
         word per identity variable and have a context with exactly one hole."""
-        arity = [len(f.variables()) for f in variety.identities]
+        arity = [len(f.multidegree()) for f in variety.identities]
         for desc, _ in self.entries:
             if not (0 <= desc.identity_index < len(arity)
                     and len(desc.substitution) == arity[desc.identity_index]

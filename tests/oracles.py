@@ -20,11 +20,14 @@ alternate_by_relabel alternates term by term, separate from
 skewalg.symmetrize's per-shape alternation, and linearize_by_relabel
 relabels each word's leaves one by one, separate from linearize's
 shape filling.  leaves_by_text reads a word's leaves off its text,
-separate from skewalg.words.split_words.
+separate from skewalg.words.split_words, and multidegrees_by_text counts
+them per term, separate from MultiPoly.multidegree; the oracles read
+letters only through these two (tests/test_oracles.py checks it).
 """
 
 import heapq
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
@@ -385,9 +388,10 @@ def alternate_by_relabel(p: MultiPoly) -> MultiPoly:
     relabelling every term under every permutation."""
     if p.is_zero():
         return MultiPoly.zero()
-    if not p.is_multilinear():
+    mds = multidegrees_by_text(p)
+    if len(mds) != 1 or any(e != 1 for _, e in next(iter(mds))):
         raise ValueError("alternate requires a multilinear polynomial")
-    vs = sorted(p.variables())
+    vs = [v for v, _ in mds.pop()]
     perms = [(_sign(s), dict(zip(vs, s))) for s in permutations(vs)]
     return MultiPoly.from_pairs((relabel(w, mapping), sign * c)
                                 for w, c in p.terms.items() for sign, mapping in perms)
@@ -396,7 +400,7 @@ def alternate_by_relabel(p: MultiPoly) -> MultiPoly:
 def linearize_by_relabel(p: MultiPoly) -> MultiPoly:
     """Full multilinearization, each word rebuilt leaf by leaf: the leaves of
     variable v take the fresh labels of v's block in a placement's order."""
-    (md,) = p.multidegrees()
+    (md,) = multidegrees_by_text(p)
     blocks, offset = [], 0
     for v, e in md:
         blocks.append(permutations(range(offset + 1, offset + 1 + e)))
@@ -416,3 +420,9 @@ def _relabel_consuming(w, labels):
 def leaves_by_text(w) -> tuple:
     """w's leaves left to right, read off its text (the hole prints as _)."""
     return tuple(int(v or HOLE) for v in re.findall(r"x(\d+)|_", format_word(w)))
+
+
+def multidegrees_by_text(p: MultiPoly) -> set:
+    """The set of p's per-term multidegrees, each as sorted (variable,
+    exponent) pairs, counted from the leaves read off each word's text."""
+    return {tuple(sorted(Counter(leaves_by_text(w)).items())) for w in p.terms}

@@ -271,10 +271,11 @@ def test_verify_rejects_foreign_param(capsys):
     (["verify", "skew_dim", "--d", "0"], "skew_dim needs d >= 1"),
     (["verify", "skew_dim", "--d", "-2"], "skew_dim needs d >= 1"),
     (["verify", "assoc_projection", "--d", "-1"], "assoc_projection needs d >= 1"),
+    (["basis-count", "--degree", "-3"], "degree must be >= 0"),
 ], ids=["check-with-all-desk", "param-with-all-desk", "identities-with-builtin",
         "input-is-directory", "lemma2-m-below-two", "eq4-k-zero", "eq4-k-negative",
         "eq6-m-two", "fm_nonzero-m-zero", "skew_dim-d-zero", "skew_dim-d-negative",
-        "assoc_projection-d-negative"])
+        "assoc_projection-d-negative", "basis-count-negative"])
 def test_rejected_usage_runs_nothing(tmp_path, capsys, argv, message):
     ids = tmp_path / "ids.txt"
     ids.write_text("((x1*x2)*x1) - (x1*(x2*x1))\n")

@@ -35,8 +35,7 @@ def test_fm3_hand_expansion():
 @pytest.mark.parametrize("m", range(1, 7))
 def test_fm_multilinear_integer(m):
     f = fm(m)
-    assert f.is_multilinear()
-    assert f.variables() == set(range(1, m + 1))
+    assert f.multidegree() == dict.fromkeys(range(1, m + 1), 1)
     for c in f.terms.values():
         assert Fraction(c).denominator == 1
 
@@ -186,6 +185,9 @@ def test_base_descriptors_unchanged_by_validation():
 def test_basea_counts():
     assert [basea_count(d) for d in range(1, 7)] == [1, 1, 2, 3, 4, 6]
     assert basea_count(0) == 0
+    for count in (base_descriptors, basea_count):
+        with pytest.raises(ValueError, match="^degree must be >= 0$"):
+            count(-1)
 
 
 def test_base_labels():

@@ -3,8 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import multidegrees_by_text
 
 from skewalg.family import fm, x_bracket
 from skewalg.linalg import _ratio
@@ -140,9 +141,44 @@ def test_homogeneous_components_and_multilinearity():
     comps = p.homogeneous_components()
     assert len(comps) == 3
     assert sum((c for c in comps.values()), MultiPoly.zero()) == p
-    assert parse_poly("(x1*x2) - (x2*x1)").is_multilinear()
-    assert not parse_poly("(x1*x1)").is_multilinear()
-    assert not p.is_multilinear()
+    assert parse_poly("(x1*x2) - (x2*x1)").multidegree() == {1: 1, 2: 1}
+    assert parse_poly("(x1*x1)").multidegree() == {1: 2}
+    with pytest.raises(ValueError, match="^polynomial is not multihomogeneous$"):
+        p.multidegree()
+
+
+@st.composite
+def _mixed_degree(draw):
+    """Sums over one to three multidegrees of total degree at most 4."""
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        md = draw(st.dictionaries(st.integers(1, 4), st.integers(1, 3), min_size=1,
+                                  max_size=3))
+        if sum(md.values()) > 4:
+            md = dict.fromkeys(md, 1)
+        pairs += draw(st.lists(st.tuples(st.sampled_from(enumerate_words(md)),
+                                         st.integers(-2, 2).filter(bool)),
+                               min_size=1, max_size=3))
+    return MultiPoly.from_pairs(pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_mixed_degree(), st.integers(1, 5).map(fm)))
+@example(MultiPoly.zero())
+@example(parse_poly("x3"))
+@example(parse_poly("x1 + (x1*x2)"))
+@example(parse_poly("(x1*x2) + (x3*x4)"))
+@example(parse_poly("((x1*x1)*x2) + ((x1*x2)*x2)"))  # one variable set, two degrees
+@example(parse_poly("((x2*x2)*x1) - (x1*(x2*x2))"))
+@example(fm(5))  # shared subwords
+def test_multidegree_matches_text_oracle(p):
+    mds = multidegrees_by_text(p)
+    if len(mds) > 1:
+        with pytest.raises(ValueError, match="^polynomial is not multihomogeneous$"):
+            p.multidegree()
+    else:
+        # the same exponents, the variables ascending
+        assert list(p.multidegree().items()) == list(mds.pop() if mds else ())
 
 
 def test_scalar_arithmetic():

@@ -7,9 +7,9 @@ from math import factorial, prod
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import alternate_by_relabel, linearize_by_relabel
+from oracles import alternate_by_relabel, linearize_by_relabel, multidegrees_by_text
 
-from skewalg import family, symmetrize, words
+from skewalg import family, poly, symmetrize, words
 from skewalg.family import associative_projection, fm, x_bracket, z_word
 from skewalg.poly import MultiPoly, multiply, parse_poly, relabel_poly
 from skewalg.symmetrize import (alternate, as_one_variable, collapse,
@@ -52,7 +52,7 @@ def test_linearize_restriction_recovers_multiple():
                      ("((x1*x1)*x2) - 2*(x2*(x1*x1))", {1: 2, 2: 1})]:
         p = parse_poly(text)
         lin = linearize(p)
-        assert lin.is_multilinear()
+        assert lin.multidegree() == dict.fromkeys(range(1, sum(md.values()) + 1), 1)
         # linearize numbers fresh variables in blocks, sorted by original
         blocks, offset = {}, 0
         for v in sorted(md):
@@ -89,7 +89,7 @@ def test_linearize_then_restrict_is_factorial_multiple(case):
     if p.is_zero():
         return
     lin = linearize(p)
-    assert lin.is_multilinear()
+    assert lin.multidegree() == dict.fromkeys(range(1, sum(md.values()) + 1), 1)
     # fresh variables come in blocks, one per original variable in sorted order
     back, offset = {}, 0
     for v in sorted(md):
@@ -110,8 +110,12 @@ def test_linearize_matches_relabel_oracle(case):
 
 
 def test_linearize_rejects_inhomogeneous():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^polynomial is not multihomogeneous$"):
         linearize(parse_poly("x1 + (x1*x1)"))
+
+
+def test_linearize_of_zero_is_zero():
+    assert linearize(MultiPoly.zero()) == MultiPoly.zero()
 
 
 @pytest.mark.parametrize("text, message", [
@@ -191,13 +195,15 @@ def test_alternate_examples():
 def test_alternate_idempotent_up_to_factorial():
     for text in ["(x1*x2)", "((x1*x2)*x3)", "(x1*(x2*x3))"]:
         p = parse_poly(text)
-        n = len(p.variables())
+        n = len(p.multidegree())
         assert alternate(alternate(p)) == alternate(p).scale(factorial(n))
 
 
 def test_alternate_rejects_nonmultilinear():
-    with pytest.raises(ValueError):
-        alternate(parse_poly("(x1*x1)"))
+    # a repeated leaf, two multidegrees, two variable sets of one degree
+    for text in ("(x1*x1)", "x1 + (x1*x2)", "(x1*x2) + (x3*x4)"):
+        with pytest.raises(ValueError, match="^alternate requires a multilinear polynomial$"):
+            alternate(parse_poly(text))
 
 
 @st.composite
@@ -232,7 +238,7 @@ def _multilinear_by_shape(draw):
 def test_alternate_matches_relabel_oracle(p):
     a = alternate(p)
     assert a == alternate_by_relabel(p)
-    assert alternate(a) == a.scale(factorial(len(p.variables())))
+    assert alternate(a) == a.scale(factorial(len(p.multidegree())))
 
 
 @pytest.mark.parametrize("build, k", [*((x_bracket, k) for k in range(1, 7)),
@@ -319,6 +325,20 @@ def test_node_memo_kept_alive_is_caught(split, monkeypatch):
     assert kept > _MEMO_KEPT
 
 
+@pytest.mark.parametrize("fn", [alternate, is_skew_symmetric])
+def test_one_split_pass(fn, monkeypatch):
+    # validation rides on the one shape split: no separate reader of letters
+    p, calls = fm(5), []
+
+    def counting(ws):
+        calls.append(ws)
+        return words.split_words(ws)
+    monkeypatch.setattr(symmetrize, "split_words", counting)
+    monkeypatch.setattr(poly, "split_words", counting)
+    fn(p)
+    assert len(calls) == 1
+
+
 @st.composite
 def _skew_candidates(draw):
     """Multilinear polynomials, their alternates, and near misses of those;
@@ -348,8 +368,14 @@ def _skew_candidates(draw):
 
 
 def _skew_by_collapse(p):
-    return p.is_zero() or (p.is_multilinear() and all(
-        collapse(p, i, j).is_zero() for i, j in combinations(sorted(p.variables()), 2)))
+    if p.is_zero():
+        return True
+    mds = multidegrees_by_text(p)
+    if len(mds) != 1:
+        return False
+    (md,) = mds
+    return all(e == 1 for _, e in md) and all(
+        collapse(p, i, j).is_zero() for (i, _), (j, _) in combinations(md, 2))
 
 
 @settings(max_examples=400, deadline=None)

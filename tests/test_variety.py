@@ -40,11 +40,10 @@ def test_builtin_varieties():
     assert len(ASSOC.identities) == 1
     for v in (ALT, FLEX, ASSOC):
         for f in v.identities:
-            assert f.is_multilinear()
-            assert len(f.variables()) == 3
+            assert f.multidegree() == {1: 1, 2: 1, 3: 1}
     ncj = builtin_variety("ncj_cor1")
     assert len(ncj.identities) == 3
-    degs = sorted(len(f.variables()) for f in ncj.identities)
+    degs = sorted(len(f.multidegree()) for f in ncj.identities)
     assert degs == [3, 4, 4]
     assert builtin_variety("free").identities == ()
     with pytest.raises(ValueError, match="unknown variety 'octonion'; known: assoc, alt, "
@@ -55,8 +54,9 @@ def test_builtin_varieties():
 def test_custom_variety():
     v = builtin_variety("custom", [parse_poly("((x1*x1)*x2) - (x1*(x1*x2))")])
     assert len(v.identities) == 1
-    assert v.identities[0].is_multilinear()
-    with pytest.raises(ValueError):
+    assert v.identities[0].multidegree() == {1: 1, 2: 1, 3: 1}
+    with pytest.raises(ValueError, match=r"^custom identity is not multihomogeneous: "
+                                         r"x1 \+ \(x1\*x1\)$"):
         builtin_variety("custom", [parse_poly("x1 + (x1*x1)")])
     with pytest.raises(ValueError):
         builtin_variety("custom")
@@ -64,9 +64,14 @@ def test_custom_variety():
         builtin_variety("alt", [parse_poly("((x1*x1)*x2) - (x1*(x1*x2))")])
 
 
-def test_variety_rejects_nonmultilinear_identity():
-    with pytest.raises(ValueError):
-        Variety("bad", (parse_poly("(x1*x1)"),))
+@pytest.mark.parametrize("text, message", [
+    ("(x1*x1)", "variety identities must be multilinear"),
+    ("x1 + (x1*x2)", "polynomial is not multihomogeneous"),
+    ("0", "variety identities must be multilinear"),
+], ids=["square", "two-degrees", "zero"])
+def test_variety_rejects_nonmultilinear_identity(text, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Variety("bad", (parse_poly(text),))
 
 
 @pytest.mark.parametrize("text", ["(x2*x3) - (x3*x2)", "(x1*x3) - (x3*x1)", "x2"])

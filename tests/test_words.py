@@ -20,11 +20,12 @@ def test_degree_and_leaves():
 
 
 def test_multidegree_examples():
-    def multidegrees(w):
-        return MultiPoly.monomial(w).multidegrees()
-    assert multidegrees((1, 2)) == {((1, 1), (2, 1))}
-    assert multidegrees(((1, 1), 2)) == {((1, 2), (2, 1))}
-    assert multidegrees(3) == {((3, 1),)}
+    def multidegree(w):
+        return list(MultiPoly.monomial(w).multidegree().items())
+    assert multidegree((1, 2)) == [(1, 1), (2, 1)]
+    assert multidegree(((1, 1), 2)) == [(1, 2), (2, 1)]
+    assert multidegree((2, (1, 1))) == [(1, 2), (2, 1)]
+    assert multidegree(3) == [(3, 1)]
 
 
 def test_format_word():
