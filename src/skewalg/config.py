@@ -3,6 +3,10 @@
 Limits are hard errors, never silent truncation: computations that would
 exceed them raise ResourceLimitError, which the verification layer maps to
 the distinct resource_limit verdict (exit code 3 in the CLI).
+max_generators bounds the descriptors of one component's generator
+stream.  A component space reads its stream whole before it inserts
+anything, so a membership query needs the whole stream within the limit
+even when the first generator already spans its target.
 
 Every field can be overridden by an environment variable SKEWALG_<FIELD>.
 """

@@ -126,11 +126,15 @@ class MultiPoly:
         return dict(Counter(letters))
 
     def homogeneous_components(self) -> dict:
-        """Group terms by multidegree; keys are md_key tuples."""
-        comps = {}
+        """Group terms by multidegree; keys are md_key tuples.  One split
+        pass, and each distinct leaf order is counted once."""
+        comps, keys = {}, {}  # keys: leaf order -> its md_key
         for (w, c), (_, order) in zip(self.terms.items(), split_words(self.terms)):
-            comps.setdefault(md_key(Counter(order)), {})[w] = c
-        return {k: MultiPoly(v) for k, v in comps.items()}
+            key = keys.get(order)
+            if key is None:
+                key = keys[order] = md_key(Counter(order))
+            comps.setdefault(key, {})[w] = c
+        return {k: _wrap(v) for k, v in comps.items()}
 
     # -- arithmetic --------------------------------------------------------
 

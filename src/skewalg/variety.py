@@ -4,9 +4,11 @@ A variety stores fully linearized identities (valid in characteristic 0:
 the multilinear consequences span every multihomogeneous component).  The
 component of the T-ideal at a multidegree is spanned by the identities
 with monomials substituted for their variables, embedded in a one-hole
-monomial context; ComponentSpace streams that enumeration into an echelon
-accumulator, stopping early when a membership target is reached or the
-ambient space saturates.
+monomial context.  ComponentSpace reads that enumeration once, whole, at
+its first read (saturate, dimension, membership or quotient), and queues
+the generators for an echelon accumulator; insertion is lazy, and stops
+early when a membership target is reached or the ambient space
+saturates.
 
 Generators that cannot raise the rank are skipped by slot orbit, before
 they are expanded.  The generators with one context and one set of
@@ -16,9 +18,20 @@ image of its abstract polynomial, f_idx with variable i renamed to
 y_p[i] where p[i] numbers subs[i], under one linear map: the words go in
 for the y's and the result into the context.  A generator whose abstract
 polynomial lies in the span of those already streamed in its group would
-reduce to zero, so it is dropped.  Only dependent insertions vanish:
-rows, pivots, provenance and certificates stay the same, and the
-rank-raising insertions keep their order.
+reduce to zero, so it is dropped.
+
+The queue holds the kept generators whose vectors are not zero.  It
+takes the groups by descending key, a group's key being the
+largest leading (least) column among its kept vectors, and keeps stream
+order within a group and between groups of equal key.  A row installed
+at a high pivot seldom holds a pivot column installed later, lower down,
+so reductions do not cascade: on alt (1^5) the rows hold 13310 nonzeros
+and the provenance 4565, against 24410 and 19015 in stream order, at
+the same rank and number of insertions.  Each group stays whole and in
+stream order, so a dropped generator is spanned by insertions made
+before it: rows, pivots, provenance and certificates are those of the
+unpruned stream taken in the same order, and the rank-raising
+insertions keep their order.
 
 A space turns a streamed descriptor into its column vector through an
 integer word table, built once from the words of the component's
@@ -382,12 +395,8 @@ class ComponentSpace:
         self.ambient = enumerate_words(self.multidegree)
         self.acc = EchelonAccumulator(len(self.ambient))
         self._table = _WordTable(variety.identities, self.multidegree)
-        self._stream = consequence_generators(variety, self.multidegree)
         self._descriptors = {}  # insertion id -> GenDescriptor
-        self._orbits = _slot_orbits(variety.identities)
-        # (context number, set of slot ids) -> (the ids in first-seen order, state)
-        self._groups = {}
-        self._streamed = 0
+        self._queue = None  # (descriptor, vector) pairs, the next one last
         self.exhausted = False
         self._residuals = {}  # MultiPoly -> its residual, once saturated
 
@@ -404,50 +413,65 @@ class ComponentSpace:
             out[i] = c
         return out
 
-    def _insert_next(self) -> bool:
-        """Stream one generator; returns False when the stream is exhausted.
+    def _read_stream(self):
+        """Read the whole generator stream into the insertion queue, once.
 
-        Every streamed generator counts against max_generators.  One whose
+        Every streamed descriptor counts against max_generators.  One whose
         slot pattern is spanned in its group (see the module docstring) is
         dropped before it is vectorised; the rest are vectorised through
-        the word table and inserted, and the descriptors of those that
-        raise the rank kept.
+        the word table, zero vectors dropped, and queued group by group by
+        descending group key, the largest leading column among the group's
+        vectors: in stream order within a group, and groups of equal key
+        in the order the stream first reaches them.
         """
-        desc = next(self._stream, None)
-        if desc is None:
-            self._finish()
-            return False
-        self._streamed += 1
-        if self._streamed > self.config.max_generators:
-            raise ResourceLimitError("max_generators", self._streamed,
-                                     self.config.max_generators)
-        table = self._table
-        number, path = table.context(desc.context)
-        slots = table.slot_ids(desc.substitution)
-        group = (number, frozenset(slots))
-        firsts, state = self._groups.get(group) or (tuple(dict.fromkeys(slots)), frozenset())
-        state = self._orbits.after(
-            state, (desc.identity_index, tuple(map(firsts.index, slots))))
-        if state is None:
-            return True
-        self._groups[group] = firsts, state
-        vec = table.vector(desc.identity_index, slots, path)
+        if self._queue is not None:
+            return
+        table, limit = self._table, self.config.max_generators
+        after = _slot_orbits(self.variety.identities).after
+        groups = {}  # (context number, set of slot ids) -> [first-seen ids, state, key, kept]
+        streamed = 0
+        for desc in consequence_generators(self.variety, self.multidegree):
+            streamed += 1
+            if streamed > limit:
+                raise ResourceLimitError("max_generators", streamed, limit)
+            number, path = table.context(desc.context)
+            slots = table.slot_ids(desc.substitution)
+            name = number, frozenset(slots)
+            group = groups.get(name)
+            if group is None:
+                group = groups[name] = [tuple(dict.fromkeys(slots)), frozenset(), -1, []]
+            state = after(group[1], (desc.identity_index, tuple(map(group[0].index, slots))))
+            if state is None:
+                continue
+            group[1] = state
+            vec = table.vector(desc.identity_index, slots, path)
+            if vec:
+                group[2] = max(group[2], min(vec))
+                group[3].append((desc, vec))
+        queue = [item for group in sorted(groups.values(), key=lambda g: -g[2])
+                 for item in group[3]]
+        queue.reverse()
+        self._queue = queue
+        self.exhausted = not queue
+
+    def _insert_next(self):
+        """Insert the next queued generator, keeping its descriptor if it
+        raises the rank; the space is exhausted once the queue is empty or
+        the rank full."""
+        queue = self._queue
+        desc, vec = queue.pop()
         if self.acc.insert_reduce(vec):
             self._descriptors[self.acc.n_inserted - 1] = desc
-            if self.acc.rank == len(self.ambient):
-                self._finish()  # the rest of the stream cannot change any answer
-        return True
-
-    def _finish(self):
-        """Mark the stream spent, or not worth reading on, and drop the
-        group table."""
-        self.exhausted = True
-        self._groups = None
+        # at full rank the rest of the queue cannot change any answer
+        self.exhausted = not queue or self.acc.rank == len(self.ambient)
+        if self.exhausted:
+            queue.clear()
 
     def saturate(self):
-        """Consume the whole generator stream (early exit on full rank)."""
-        while not self.exhausted and self._insert_next():
-            pass
+        """Insert the whole queue (early exit on full rank)."""
+        self._read_stream()
+        while not self.exhausted:
+            self._insert_next()
         return self
 
     def dimension(self) -> int:
@@ -480,14 +504,18 @@ class ComponentSpace:
 
     def membership(self, p: MultiPoly):
         """(certificate, None) for a member, else (None, witness_word), as
-        express gives; streams generators lazily and stops as soon as the
-        target falls into the accumulated span."""
+        express gives.  The generator stream is read once, whole, at the
+        space's first read, every descriptor counting against
+        max_generators even when the first one already spans p.  Insertion
+        is lazy: the queue goes in by descending group key, in stream order
+        within a group and between equal keys (see the module docstring),
+        and stops as soon as the target falls into the accumulated span."""
         vec = self.vec(p)
+        self._read_stream()
         residual = self.acc.residual(vec)
         while residual and not self.exhausted:
             before = self.acc.rank
-            if not self._insert_next():
-                break
+            self._insert_next()
             if self.acc.rank > before and self.acc.last_pivot in residual:
                 self.acc.rereduce(residual)
         if residual:

@@ -12,6 +12,8 @@ with its sweep on a dict work vector and rational provenance, used to
 check the engine's dense sweep and integer provenance value for value.
 WordPathSaturation is the saturation with generators expanded word by
 word, used to check the engine's word table insertion for insertion.
+Both saturations take the generators in the engine's order, high group
+keys first (_engine_order).
 fm_by_substitution builds f_m with polynomial substitution and
 fm_by_relabel with one relabel_shared per term, both separate from
 skewalg.family's flattened relabelling; relabel_shared is words.relabel
@@ -258,8 +260,40 @@ class DictSweepEchelon:
         return {k: _ratio(v, d) for k, v in work.items()}
 
 
+def _engine_order(variety, multidegree, index, pruned):
+    """The streamed generators as (descriptor, vector) pairs in the
+    engine's insertion order, each vector built by expand_descriptor and
+    indexed word by word.
+
+    Groups are keyed by (context word, set of slot words).  A group's key
+    is the largest leading column among the nonzero vectors the slot-orbit
+    memo keeps in it; groups come by descending key, groups of equal key in
+    the order the stream first reaches them, and each group's generators
+    in stream order.  With pruned, a generator the memo drops is left out
+    and so is a zero vector; without, the memo only sets the keys.
+    """
+    orbits = _slot_orbits(variety.identities)
+    groups = {}  # group -> [words in first-seen order, state, key, generators]
+    for desc in consequence_generators(variety, multidegree):
+        subs = desc.substitution
+        group = groups.setdefault((desc.context, frozenset(subs)),
+                                  [tuple(dict.fromkeys(subs)), frozenset(), -1, []])
+        poly = expand_descriptor(variety, desc)
+        vec = {index[w]: c for w, c in poly.terms.items()}
+        state = orbits.after(group[1], (desc.identity_index, tuple(map(group[0].index, subs))))
+        if state is not None:
+            group[1] = state
+            if vec:
+                group[2] = max(group[2], min(vec))
+        if not pruned or (state is not None and vec):
+            group[3].append((desc, vec))
+    for group in sorted(groups.values(), key=lambda g: -g[2]):
+        yield from group[3]
+
+
 class UnprunedSaturation:
-    """A T-ideal component saturated from every streamed generator.
+    """A T-ideal component saturated from every streamed generator, in the
+    engine's order (see _engine_order).
 
     Each generator is vectorised and offered to the echelon unless an
     identical raw vector was offered before; nothing else is skipped and
@@ -272,9 +306,7 @@ class UnprunedSaturation:
         self.acc = EchelonAccumulator(len(self.ambient))
         self.descriptors = {}  # insertion id -> descriptor, rank-raising only
         seen = set()
-        for desc in consequence_generators(variety, multidegree):
-            poly = expand_descriptor(variety, desc)
-            vec = {index[w]: c for w, c in poly.terms.items()}
+        for desc, vec in _engine_order(variety, multidegree, index, pruned=False):
             key = frozenset(vec.items())
             if key in seen:
                 continue
@@ -291,28 +323,18 @@ class UnprunedSaturation:
 
 
 class WordPathSaturation:
-    """A T-ideal component saturated through words: the engine's stream
-    and slot-orbit memo, groups keyed by (context word, set of slot
-    words), and each kept generator expanded by expand_descriptor and
-    indexed word by word."""
+    """A T-ideal component saturated through words: the engine's stream,
+    slot-orbit memo and order, with groups keyed by (context word, set of
+    slot words) and each kept generator expanded by expand_descriptor and
+    indexed word by word (see _engine_order)."""
 
     def __init__(self, variety, multidegree):
         self.ambient = enumerate_words(multidegree)
         index = {w: i for i, w in enumerate(self.ambient)}
         self.acc = EchelonAccumulator(len(self.ambient))
         self.descriptors = {}  # insertion id -> descriptor, rank-raising only
-        orbits = _slot_orbits(variety.identities)
-        groups = {}
-        for desc in consequence_generators(variety, multidegree):
-            subs = desc.substitution
-            group = (desc.context, frozenset(subs))
-            words, state = groups.get(group) or (tuple(dict.fromkeys(subs)), frozenset())
-            state = orbits.after(state, (desc.identity_index, tuple(map(words.index, subs))))
-            if state is None:
-                continue
-            groups[group] = words, state
-            poly = expand_descriptor(variety, desc)
-            if self.acc.insert_reduce({index[w]: c for w, c in poly.terms.items()}):
+        for desc, vec in _engine_order(variety, multidegree, index, pruned=True):
+            if self.acc.insert_reduce(vec):
                 self.descriptors[self.acc.n_inserted - 1] = desc
                 if self.acc.rank == len(self.ambient):
                     break

@@ -181,6 +181,26 @@ def test_multidegree_matches_text_oracle(p):
         assert list(p.multidegree().items()) == list(mds.pop() if mds else ())
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_mixed_degree(),
+                 st.tuples(st.integers(1, 5).map(fm), _mixed_degree()).map(lambda t: t[0] + t[1])))
+@example(MultiPoly.zero())
+@example(parse_poly("x3"))
+@example(parse_poly("x1 + (x1*x2)"))
+@example(parse_poly("(x1*x2) + (x3*x4) - (x2*x1)"))
+@example(parse_poly("((x1*x1)*x2) + ((x1*x2)*x2) + ((x2*x1)*x1)"))  # one variable set
+@example(fm(5) + parse_poly("((x1*x2)*x3) + x6"))  # shared subwords beside off-degree terms
+def test_homogeneous_components_match_text_oracle(p):
+    by_text = {}  # multidegree -> the terms of p that have it, in p's order
+    for w, c in p.terms.items():
+        (key,) = multidegrees_by_text(MultiPoly.monomial(w))
+        by_text.setdefault(key, {})[w] = c
+    comps = p.homogeneous_components()
+    assert set(comps) == multidegrees_by_text(p) == set(by_text)
+    for key, comp in comps.items():
+        assert list(comp.terms.items()) == list(by_text[key].items())
+
+
 def test_scalar_arithmetic():
     p = parse_poly("(x1*x2) - 2*(x2*x1)")
     assert p.scale(Fraction(1, 2)) == parse_poly("1/2*(x1*x2) - (x2*x1)")

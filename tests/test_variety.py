@@ -320,6 +320,63 @@ def test_max_generators_counts_skipped_generators():
         assert (e.value.needed, e.value.limit) == (n + 1, n)
 
 
+def test_membership_reads_the_whole_stream_before_inserting():
+    # the first streamed generator alone spans the target, but the space
+    # reads, and counts, the whole stream before its first insertion
+    descs = list(consequence_generators(ALT, md(1, 1, 1)))
+    limit = len(descs) - 1
+    space = ComponentSpace(ALT, md(1, 1, 1), Config(max_generators=limit))
+    with pytest.raises(ResourceLimitError) as e:
+        space.membership(expand_descriptor(ALT, descs[0]))
+    assert (e.value.limit_name, e.value.needed, e.value.limit) == (
+        "max_generators", limit + 1, limit)
+    assert space.acc.n_inserted == 0
+
+
+@pytest.mark.parametrize("variety_, degree", [
+    (ALT, md(1, 1, 1, 1)), (FLEX, md(2, 1, 1)), (builtin_variety("ncj_cor1"), md(2, 1, 1))],
+    ids=["alt-1111", "flex-211", "ncj_cor1-211"])
+def test_insertion_goes_by_descending_group_key(monkeypatch, variety_, degree):
+    # each vector the space makes is traced to the descriptor streamed just
+    # before it, and each inserted vector to its descriptor
+    streamed, made, inserted = [], {}, []
+    stream = variety.consequence_generators
+
+    def recording_stream(*args):
+        for desc in stream(*args):
+            streamed.append(desc)
+            yield desc
+
+    monkeypatch.setattr(variety, "consequence_generators", recording_stream)
+    space = ComponentSpace(variety_, degree)
+    vector, insert = space._table.vector, space.acc.insert_reduce
+
+    def record_vector(*args):
+        vec = vector(*args)
+        made[id(vec)] = len(streamed) - 1, vec  # kept alive, so the id stays its own
+        return vec
+
+    def record_insert(vec):
+        inserted.append(made[id(vec)])
+        return insert(vec)
+
+    monkeypatch.setattr(space._table, "vector", record_vector)
+    monkeypatch.setattr(space.acc, "insert_reduce", record_insert)
+    space.saturate()
+    group = [(d.context, frozenset(d.substitution)) for d in streamed]
+    first_seen, keys = {}, {}
+    for pos, g in enumerate(group):
+        first_seen.setdefault(g, pos)
+    for pos, vec in inserted:
+        assert vec
+        keys[group[pos]] = max(keys.get(group[pos], -1), min(vec))
+    # descending key, then the group the stream reaches first, then stream order
+    order = [(-keys[group[pos]], first_seen[group[pos]], pos) for pos, _ in inserted]
+    assert order == sorted(order)
+    assert len(set(keys.values())) > 1
+    assert [pos for pos, _ in inserted] != sorted(pos for pos, _ in inserted)
+
+
 def test_vec_rejects_foreign_words():
     space = ComponentSpace(ALT, md(1, 1, 1))
     with pytest.raises(ValueError):
