@@ -157,18 +157,46 @@ def _compositions(n: int, parts: int):
 
 def _splits(d: dict, k: int):
     """(context multidegree, k nonzero slot multidegrees) summing to d,
-    each as an md_key."""
+    each as an md_key.
+
+    The order is that of product over the variables' compositions of
+    their degree into k + 1 parts (context first), keeping only the
+    tuples that leave no slot empty; _filling walks that product and cuts
+    each branch that the variables still to come cannot complete.
+    """
     vars_ = sorted(d)
-    per_var = [list(_compositions(d[v], k + 1)) for v in vars_]
-    for combo in product(*per_var):
-        slots = []
-        for b in range(1, k + 1):
-            md = tuple((v, parts[b]) for v, parts in zip(vars_, combo) if parts[b])
-            if not md:
-                break
-            slots.append(md)
-        else:
-            yield tuple((v, parts[0]) for v, parts in zip(vars_, combo) if parts[0]), slots
+    per_var = [[(parts, sum(1 << b for b, e in enumerate(parts) if e))
+                for parts in _compositions(d[v], k + 1)] for v in vars_]
+    left = [sum(d[v] for v in vars_[i:]) for i in range(len(vars_) + 1)]
+    keys = {}  # one position's exponents over vars_ -> its md_key
+    for combo in _filling(per_var, left, 0, (1 << (k + 1)) - 2):
+        out = []
+        for exps in zip(*combo):
+            key = keys.get(exps)
+            if key is None:
+                key = keys[exps] = tuple((v, e) for v, e in zip(vars_, exps) if e)
+            out.append(key)
+        yield out[0], out[1:]
+
+
+def _filling(per_var: list, left: list, i: int, empty: int):
+    """The tuples of one composition from each of per_var[i:], in product
+    order, that put something in every slot of the bit set empty.
+
+    per_var[j] lists (composition, bit set of its nonzero positions), and
+    left[j] is the degree of the variables from j on: each unit fills at
+    most one slot, so a branch that leaves more empty slots is cut.
+    """
+    if i == len(per_var):
+        if not empty:
+            yield ()
+        return
+    room = left[i + 1]
+    for parts, filled in per_var[i]:
+        still = empty & ~filled
+        if still.bit_count() <= room:
+            for rest in _filling(per_var, left, i + 1, still):
+                yield (parts, *rest)
 
 
 def consequence_generators(variety: Variety, d: dict):
@@ -422,7 +450,9 @@ class ComponentSpace:
         the word table, zero vectors dropped, and queued group by group by
         descending group key, the largest leading column among the group's
         vectors: in stream order within a group, and groups of equal key
-        in the order the stream first reaches them.
+        in the order the stream first reaches them.  The stream yields the
+        descriptors of one split and one context word in a run that shares
+        the context object, so the word table looks it up once per run.
         """
         if self._queue is not None:
             return
@@ -430,11 +460,14 @@ class ComponentSpace:
         after = _slot_orbits(self.variety.identities).after
         groups = {}  # (context number, set of slot ids) -> [first-seen ids, state, key, kept]
         streamed = 0
+        ctx = None
         for desc in consequence_generators(self.variety, self.multidegree):
             streamed += 1
             if streamed > limit:
                 raise ResourceLimitError("max_generators", streamed, limit)
-            number, path = table.context(desc.context)
+            if desc.context is not ctx:  # a new run of descriptors
+                ctx = desc.context
+                number, path = table.context(ctx)
             slots = table.slot_ids(desc.substitution)
             name = number, frozenset(slots)
             group = groups.get(name)

@@ -12,6 +12,9 @@ with its sweep on a dict work vector and rational provenance, used to
 check the engine's dense sweep and integer provenance value for value.
 WordPathSaturation is the saturation with generators expanded word by
 word, used to check the engine's word table insertion for insertion.
+splits_by_filter is variety._splits as the whole product of the
+variables' compositions with the tuples that leave a slot empty dropped,
+used to check the engine's pruned walk split for split.
 Both saturations take the generators in the engine's order, high group
 keys first (_engine_order).
 fm_by_substitution builds f_m with polynomial substitution and
@@ -338,6 +341,24 @@ class WordPathSaturation:
                 self.descriptors[self.acc.n_inserted - 1] = desc
                 if self.acc.rank == len(self.ambient):
                     break
+
+
+def splits_by_filter(d: dict, k: int):
+    """(context multidegree, k nonzero slot multidegrees) summing to d:
+    every tuple of the variables' compositions into k + 1 parts, in
+    product order, with each tuple that leaves a slot empty dropped."""
+    vars_ = sorted(d)
+    per_var = [sorted(t for t in product(range(d[v] + 1), repeat=k + 1) if sum(t) == d[v])
+               for v in vars_]
+    for combo in product(*per_var):
+        slots = []
+        for b in range(1, k + 1):
+            md = tuple((v, parts[b]) for v, parts in zip(vars_, combo) if parts[b])
+            if not md:
+                break
+            slots.append(md)
+        else:
+            yield tuple((v, parts[0]) for v, parts in zip(vars_, combo) if parts[0]), slots
 
 
 @lru_cache(maxsize=None)

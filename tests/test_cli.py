@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -248,6 +249,28 @@ def test_verify_all_desk_exits_zero(tmp_path, capsys):
     lines = [l for l in out.splitlines() if l.strip()]
     assert len(lines) == 22  # one line per suite entry
     assert all(l.startswith("pass") for l in lines)
+
+
+def test_lemma3_m5_certificate_bytes(tmp_path, capsys):
+    # the certificate is a function of the alt (1^5) insertion sequence
+    # alone, so these bytes pin the echelon's rows, pivots and provenance
+    code, out, _ = run(capsys, "--cert-dir", str(tmp_path), "verify", "lemma3", "--m", "5")
+    assert code == 0 and out.startswith("pass")
+    (path,) = tmp_path.iterdir()
+    data = path.read_bytes()
+    assert len(data) == 202341
+    assert (hashlib.sha256(data).hexdigest()
+            == "648809e363453e79953eb855db9cb52bc044f29b03b2c029a230e7e48f057a88")
+
+
+def test_fm_nonzero_m5_details(capsys):
+    code, out, _ = run(capsys, "--format", "json", "verify", "fm_nonzero", "--m", "5")
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"] == "pass"
+    details = report["details"]
+    assert (details["ambient"], details["ideal_rank"], details["witness"]) == (
+        1680, 1505, "((x5*x4)*((x3*x2)*x1))")
 
 
 def test_verify_rejects_foreign_param(capsys):

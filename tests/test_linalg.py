@@ -50,6 +50,78 @@ def test_dimension_checks():
         EchelonAccumulator(-1)
 
 
+_SEED_VECS = [{0: 1, 1: 1, 2: 1}, {1: 1, 3: 2}, {4: Fraction(1, 2), 5: 1}]
+
+
+def _fill(acc):
+    for v in _SEED_VECS:
+        acc.insert_reduce(v)
+    return acc
+
+
+_LATER = [{0: 2, 3: 1, 5: -1}, {2: Fraction(1, 3), 4: 1}, {1: 1, 2: -1, 5: 3}]
+
+
+def _later_results_match(acc, oracle):
+    """Residuals and insertions after a failed call equal the oracle's,
+    through the columns the failed call touched."""
+    target = {0: 1, 4: 1, 5: Fraction(2, 3)}
+    held = acc.residual(target)
+    assert held == oracle.residual(target)
+    for v in _LATER:
+        assert acc.insert_reduce(v) == oracle.insert_reduce(v)
+        assert acc.residual(target) == oracle.residual(target)
+    acc.rereduce(held)
+    assert held == oracle.residual(target)
+    assert acc.rows == oracle.rows
+    assert acc.n_inserted == oracle.n_inserted
+    for pivot, (ins_id, d, lead) in acc.pivot_source.items():
+        assert (ins_id, Fraction(d, lead)) == oracle.pivot_source[pivot]
+        assert ({k: Fraction(m, d) for k, m in acc.provenance[pivot].items()}
+                == oracle.provenance[pivot])
+    assert acc.pivot_source.keys() == oracle.pivot_source.keys()
+
+
+@pytest.mark.parametrize("bad", [{-1: 1}, {6: 1}, {0: 1, 6: 1}, {-2: 3, 2: 1},
+                                 {6: Fraction(1, 2)}, {-1: Fraction(1, 3), 0: 1}],
+                         ids=["negative", "past-end", "int-past-end", "int-negative",
+                              "fraction-past-end", "fraction-negative"])
+@pytest.mark.parametrize("call", ["insert_reduce", "residual", "express_in_span"])
+def test_column_out_of_range_changes_nothing(bad, call):
+    acc, oracle = _fill(EchelonAccumulator(6)), _fill(DictSweepEchelon())
+    rank = acc.rank
+    with pytest.raises(ValueError, match="outside dimension 6"):
+        getattr(acc, call)(bad)
+    assert acc.n_inserted == 3 and acc.rank == rank
+    _later_results_match(acc, oracle)
+
+
+class _RaisesOnce(dict):
+    """A row whose items() raises the first time a sweep reads it."""
+
+    armed = True
+
+    def items(self):
+        if self.armed:
+            self.armed = False
+            raise RuntimeError("injected")
+        return super().items()
+
+
+@pytest.mark.parametrize("call", ["insert_reduce", "residual", "express_in_span"])
+def test_sweep_that_raises_midway_leaves_no_trace(call):
+    # the target eliminates pivots 0 and 1, filling columns 1..4 of the
+    # scratch, before the sweep reads row 4 and raises; later sweeps must
+    # find every column untouched
+    acc, oracle = _fill(EchelonAccumulator(6)), _fill(DictSweepEchelon())
+    acc.rows[4] = _RaisesOnce(acc.rows[4])
+    with pytest.raises(RuntimeError, match="injected"):
+        getattr(acc, call)({0: 1, 4: 1})
+    assert acc.n_inserted == 3 and acc.rank == 3
+    assert acc.residual({0: 1, 4: 1}) == oracle.residual({0: 1, 4: 1})
+    _later_results_match(acc, oracle)
+
+
 def _random_vecs(rng, dim, count):
     vecs = []
     for _ in range(count):
@@ -244,6 +316,21 @@ def test_explicit_zero_entries_are_ignored():
     assert acc.residual({0: 0, 2: Fraction(0)}) == {}
 
 
+def _integral(vec):
+    """vec times the lcm of its denominators, with int values."""
+    d = math.lcm(*(v.denominator for v in vec.values()))
+    return {k: int(v * d) for k, v in vec.items()}
+
+
+def _combination(vecs, coeffs):
+    """sum(c * vecs[i]) over coeffs, exact zeros dropped."""
+    out = {}
+    for i, c in coeffs.items():
+        for k, v in vecs[i].items():
+            out[k] = out.get(k, 0) + c * v
+    return {k: v for k, v in out.items() if v}
+
+
 @st.composite
 def _vector_sets(draw):
     """(dimension, sparse rational vectors, target); the target is either a
@@ -276,10 +363,24 @@ def _vector_sets(draw):
           {0: Fraction(1), 1: Fraction(1), 2: Fraction(1), 3: Fraction(1)}))
 def test_dense_sweep_matches_dict_sweep_oracle_on_random_vectors(case):
     dim, vecs, target = case
+    # every other vector as ints, so the int and the Fraction entry paths
+    # share one accumulator; scaling a vector keeps the span
+    vecs = [_integral(v) if i % 2 else v for i, v in enumerate(vecs)]
     acc, oracle = EchelonAccumulator(dim), DictSweepEchelon()
-    for v in vecs:
+    held = acc.residual(target)
+    for n, v in enumerate(vecs, 1):
         assert acc.insert_reduce(v) == oracle.insert_reduce(v)
-        assert acc.residual(target) == oracle.residual(target)
+        expected = oracle.residual(target)
+        assert acc.residual(target) == expected
+        assert acc.residual(_integral(target)) == oracle.residual(_integral(target))
+        acc.rereduce(held)
+        assert held == expected
+        coeffs, witness = acc.express_in_span(target)
+        assert (coeffs is None) == (dense_express(vecs[:n], target, dim) is None)
+        if coeffs is None:
+            assert witness == min(expected)
+        else:
+            assert _combination(vecs, coeffs) == target
     assert acc.rows == oracle.rows
     for pivot, (ins_id, d, lead) in acc.pivot_source.items():
         assert (ins_id, Fraction(d, lead)) == oracle.pivot_source[pivot]

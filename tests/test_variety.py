@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import EagerProvenanceEchelon, UnprunedSaturation, WordPathSaturation, dense_rank
+from oracles import (EagerProvenanceEchelon, UnprunedSaturation, WordPathSaturation,
+                     dense_rank, splits_by_filter)
 from skewalg.config import Config, ResourceLimitError
 from skewalg.poly import (MultiPoly, commutator, jordan, multiply, parse_poly,
                           substitute)
@@ -108,6 +109,26 @@ def test_compositions_come_in_lexicographic_order(n, parts):
     # follow this order
     assert list(variety._compositions(n, parts)) == sorted(
         t for t in product(range(n + 1), repeat=parts) if sum(t) == n)
+
+
+def _multidegrees(total):
+    """Every multidegree over x1..xn with positive exponents summing to total."""
+    if total == 0:
+        yield {}
+    for first in range(1, total + 1):
+        for rest in _multidegrees(total - first):
+            yield {1: first, **{v + 1: e for v, e in rest.items()}}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])  # an identity has at least one variable
+def test_splits_match_product_and_filter_oracle(k):
+    # the splits, and so the generator stream, follow the product order
+    seen = 0
+    for total in range(7):
+        for d in _multidegrees(total):
+            assert list(variety._splits(d, k)) == list(splits_by_filter(d, k)), d
+            seen += 1
+    assert seen == 64
 
 
 def test_generators_have_the_right_multidegree():
