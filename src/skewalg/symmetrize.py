@@ -14,13 +14,14 @@ integral and certificates remain exact.
 skew, alternate, is_skew_symmetric and linearize read each term as its
 bracketing shape and its leaf order, from words.split_words; skew and
 linearize rebuild words from such pairs with its inverse, words.fill.
-alternate and is_skew_symmetric split p once, checking each distinct leaf
-order once in that pass; as_one_variable and linearize read the letters
-from MultiPoly.multidegree.  alternate, and with it skew, fills each shape
-by recursion over its tree: a node's words, kept in one list per sign, are
-the products of its children's lists over every split of its variables,
-memoised per subshape and variable set.  So every distinct subword is one
-tuple, shared by all words holding it, and the collector tracks far fewer.
+alternate and is_skew_symmetric split p once, in one shared pass that
+checks each distinct leaf order once; as_one_variable and linearize read
+the letters from MultiPoly.multidegree.  alternate, and with it skew,
+fills each shape by recursion over its tree: a node's words, kept in one
+list per sign, are the products of its children's lists over every split
+of its variables, memoised per subshape and variable set.  So every
+distinct subword is one tuple, shared by all words holding it, and the
+collector tracks far fewer.
 """
 
 from itertools import chain, combinations, permutations, product, repeat
@@ -174,29 +175,24 @@ def is_skew_symmetric(p: MultiPoly) -> bool:
     equivalent to p being multilinear with every collapse(p, i, j) zero; the
     zero polynomial passes.
 
-    The split comes from words.split_words, which splits each subword
-    object once per call however many words hold it.
+    The signed terms come from alternate's pass, _signed, whose check of
+    each leaf order fails exactly when p is not multilinear.
     """
-    signs = {}   # leaf order -> its sign, once checked against the variables
+    signs = {}   # leaf order -> its sign, in the order first met
     shapes = {}  # shape -> [sgn(order) * coefficient, orders seen]
-    variables = None
-    with gc_paused():
-        for (shape, order), c in zip(split_words(p.terms), p.terms.values()):
-            sign = signs.get(order)
-            if sign is None:
-                if variables is None:
-                    variables = sorted(set(order))
-                if sorted(order) != variables:
+    try:
+        with gc_paused():
+            for shape, c in _signed(p, signs):
+                entry = shapes.get(shape)
+                if entry is None:
+                    shapes[shape] = [c, 1]
+                elif entry[0] != c:
                     return False
-                sign = signs[order] = permutation_sign(order)
-            entry = shapes.get(shape)
-            if entry is None:
-                shapes[shape] = [sign * c, 1]
-            elif entry[0] != sign * c:
-                return False
-            else:
-                entry[1] += 1
-    n_orders = factorial(len(variables or ()))
+                else:
+                    entry[1] += 1
+    except ValueError:  # not multilinear
+        return False
+    n_orders = factorial(len(next(iter(signs), ())))
     return all(count == n_orders for _, count in shapes.values())
 
 

@@ -5,10 +5,10 @@ the multilinear consequences span every multihomogeneous component).  The
 component of the T-ideal at a multidegree is spanned by the identities
 with monomials substituted for their variables, embedded in a one-hole
 monomial context.  ComponentSpace reads that enumeration once, whole, at
-its first read (saturate, dimension, membership or quotient), and queues
-the generators for an echelon accumulator; insertion is lazy, and stops
-early when a membership target is reached or the ambient space
-saturates.
+its first read (saturate, dimension, membership, residual_of or
+quotient), and queues the generators for an echelon accumulator.  Every
+read inserts through one loop, which is lazy: it stops early when a
+membership target is reached or the ambient space saturates.
 
 Generators that cannot raise the rank are skipped by slot orbit, before
 they are expanded.  The generators with one context and one set of
@@ -425,8 +425,7 @@ class ComponentSpace:
         self._table = _WordTable(variety.identities, self.multidegree)
         self._descriptors = {}  # insertion id -> GenDescriptor
         self._queue = None  # (descriptor, vector) pairs, the next one last
-        self.exhausted = False
-        self._residuals = {}  # MultiPoly -> its residual, once saturated
+        self._residuals = {}  # MultiPoly -> its residual modulo the saturated component
 
     def vec(self, p: MultiPoly) -> dict:
         """Column vector of a polynomial of this component."""
@@ -441,8 +440,8 @@ class ComponentSpace:
             out[i] = c
         return out
 
-    def _read_stream(self):
-        """Read the whole generator stream into the insertion queue, once.
+    def _read_stream(self) -> list:
+        """The insertion queue: the whole generator stream, read once.
 
         Every streamed descriptor counts against max_generators.  One whose
         slot pattern is spanned in its group (see the module docstring) is
@@ -454,8 +453,6 @@ class ComponentSpace:
         descriptors of one split and one context word in a run that shares
         the context object, so the word table looks it up once per run.
         """
-        if self._queue is not None:
-            return
         table, limit = self._table, self.config.max_generators
         after = _slot_orbits(self.variety.identities).after
         groups = {}  # (context number, set of slot ids) -> [first-seen ids, state, key, kept]
@@ -484,40 +481,41 @@ class ComponentSpace:
         queue = [item for group in sorted(groups.values(), key=lambda g: -g[2])
                  for item in group[3]]
         queue.reverse()
-        self._queue = queue
-        self.exhausted = not queue
+        return queue
 
-    def _insert_next(self):
-        """Insert the next queued generator, keeping its descriptor if it
-        raises the rank; the space is exhausted once the queue is empty or
-        the rank full."""
+    def _insert(self, residual=None):
+        """Insert queued generators, keeping the descriptor of each that
+        raises the rank, until the queue is empty or the rank full, and,
+        given a residual held modulo the rows, until it vanishes.  The
+        stream is read at the first call; a new pivot in the residual is
+        swept out of it at once."""
         queue = self._queue
-        desc, vec = queue.pop()
-        if self.acc.insert_reduce(vec):
-            self._descriptors[self.acc.n_inserted - 1] = desc
-        # at full rank the rest of the queue cannot change any answer
-        self.exhausted = not queue or self.acc.rank == len(self.ambient)
-        if self.exhausted:
+        if queue is None:
+            queue = self._queue = self._read_stream()
+        acc, full = self.acc, len(self.ambient)
+        while queue and acc.rank < full and (residual is None or residual):
+            desc, vec = queue.pop()
+            if acc.insert_reduce(vec):
+                self._descriptors[acc.n_inserted - 1] = desc
+                if residual is not None and acc.last_pivot in residual:
+                    acc.rereduce(residual)
+        if acc.rank == full:  # the rest of the queue cannot change any answer
             queue.clear()
 
     def saturate(self):
         """Insert the whole queue (early exit on full rank)."""
-        self._read_stream()
-        while not self.exhausted:
-            self._insert_next()
+        self._insert()
         return self
 
     def dimension(self) -> int:
         """dim of the component of the relatively free algebra."""
-        self.saturate()
+        self._insert()
         return len(self.ambient) - self.acc.rank
 
     def residual_of(self, p: MultiPoly) -> dict:
-        """Remainder of p modulo the rows so far (a fresh dict).  Once the
-        space is saturated the rows are final, so each distinct p is
-        reduced once."""
-        if not self.exhausted:
-            return self.acc.residual(self.vec(p))
+        """Remainder of p modulo the saturated component (a fresh dict).
+        The space saturates first, so each distinct p is reduced once."""
+        self._insert()
         residual = self._residuals.get(p)
         if residual is None:
             residual = self._residuals[p] = self.acc.residual(self.vec(p))
@@ -529,7 +527,6 @@ class ComponentSpace:
         One insertion per poly, in order, so insertion id k stands for
         polys[k] in express_in_span of a residual.
         """
-        self.saturate()
         acc = EchelonAccumulator(len(self.ambient))
         for p in polys:
             acc.insert_reduce(self.residual_of(p))
@@ -543,14 +540,8 @@ class ComponentSpace:
         is lazy: the queue goes in by descending group key, in stream order
         within a group and between equal keys (see the module docstring),
         and stops as soon as the target falls into the accumulated span."""
-        vec = self.vec(p)
-        self._read_stream()
-        residual = self.acc.residual(vec)
-        while residual and not self.exhausted:
-            before = self.acc.rank
-            self._insert_next()
-            if self.acc.rank > before and self.acc.last_pivot in residual:
-                self.acc.rereduce(residual)
+        residual = self.acc.residual(self.vec(p))
+        self._insert(residual)
         if residual:
             return None, self.ambient[min(residual)]
         return self.express(p)

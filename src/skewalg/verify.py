@@ -16,9 +16,9 @@ from itertools import chain, combinations, product
 from math import factorial
 
 from .config import DEFAULT_CONFIG, ResourceLimitError
-from .family import (alternating_space, associative_projection, base_element,
-                     basea_count, fm, solve_skew_decomposition, standard_polynomial,
-                     x_bracket, BaseDescriptor)
+from .family import (alternating_space, associative_projection, base_descriptors,
+                     base_element, basea_count, fm, solve_skew_decomposition,
+                     standard_polynomial, x_bracket)
 from .linalg import EchelonAccumulator
 from .poly import (MultiPoly, add_terms, commutator, jordan, multiply, relabel_poly,
                    substitute)
@@ -105,7 +105,6 @@ def check_eq4(params, config):
 def check_fm_nonzero(params, config):
     m = params["m"]
     space = alternating_space(m, config)
-    space.saturate()
     residual = space.residual_of(fm(m))
     details = {
         "m": m,
@@ -200,20 +199,16 @@ def check_assoc_projection(params, config):
         if associative_projection(x_bracket(k).poly):
             details["error"] = f"x[{k}] has a nonzero associative image"
             return "fail", details, []
-    skew_max = min(d, 5)
     checked = []
-    for m in range(0, skew_max // 2 + 1):
-        for sigma in (0, 1):
-            n = 2 * m + sigma
-            if n < 1 or n > skew_max:
-                continue
-            element = base_element(BaseDescriptor("power", m=m, sigma=sigma))
-            got = associative_projection(skew(element.poly))
-            want = {w: (2 ** m) * c for w, c in standard_polynomial(n).items()}
-            checked.append(f"t^{m}*x^{sigma}")
-            if got != want:
-                details["error"] = f"skew(t^{m} x^{sigma}) missed 2^{m} * S_{n}"
-                return "fail", details, []
+    for n in range(1, min(d, 5) + 1):
+        power = base_descriptors(n)[0]  # the power family's one, listed first
+        m, sigma = power.m, power.sigma
+        got = associative_projection(skew(base_element(power).poly))
+        want = {w: (2 ** m) * c for w, c in standard_polynomial(n).items()}
+        checked.append(f"t^{m}*x^{sigma}")
+        if got != want:
+            details["error"] = f"skew(t^{m} x^{sigma}) missed 2^{m} * S_{n}"
+            return "fail", details, []
     details["bracket_images_zero_up_to"] = d
     details["standard_polynomials_checked"] = checked
     return "pass", details, []
@@ -311,26 +306,24 @@ def check_engine_soundness(params, config):
         ("flex", {1: 1, 2: 1, 3: 1, 4: 1}),
         ("alt", {1: 2, 2: 1, 3: 1}),
     ]
-    pools = {}
+    pools = []  # (variety, its generators' polynomials) per layout
     for vname, md in layouts:
         variety = builtin_variety(vname)
-        gens = [expand_descriptor(variety, desc)
-                for desc in consequence_generators(variety, md)]
-        pools[(vname, tuple(sorted(md.items())))] = gens
+        pools.append((variety, [expand_descriptor(variety, desc)
+                                for desc in consequence_generators(variety, md)]))
     rechecked = 0
     for _ in range(n_certs):
-        vname, md = layouts[rng.randrange(len(layouts))]
-        gens = pools[(vname, tuple(sorted(md.items())))]
+        variety, gens = pools[rng.randrange(len(pools))]
         picks = [(rng.randint(-3, 3), gens[rng.randrange(len(gens))])
                  for _ in range(rng.randint(1, 4))]
         target = MultiPoly.from_pairs((w, coeff * c) for coeff, g in picks
                                       for w, c in g.terms.items())
-        result = is_member(target, builtin_variety(vname), config)
+        result = is_member(target, variety, config)
         if not result.member:
-            details["error"] = f"generator combination not recognized in {vname}"
+            details["error"] = f"generator combination not recognized in {variety.name}"
             return "fail", details, []
         for cert in result.certificates:
-            if not cert.recheck(builtin_variety(vname)):
+            if not cert.recheck(variety):
                 details["error"] = "random certificate failed re-expansion"
                 return "fail", details, []
         rechecked += 1

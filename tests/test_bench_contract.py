@@ -18,7 +18,11 @@ which must look it up through that traced name on every call and keep no
 cache of its own, or the ratio would miss their lookups or their hits.
 variety.cert_entries is counted where MembershipCertificate.write calls
 the traced to_json, so a writer that emitted the file without it would
-read zero entries.
+read zero entries.  A lazy membership must show its rereduce calls as
+spans and put every insertion into its space through the traced
+insert_reduce, and residual_of must finish a saturation without a
+variety.saturate span under it, which would count the saturation twice in
+the span tree.
 """
 
 import os
@@ -65,6 +69,34 @@ def test_tracer_counts_a_saturation():
     provenance_nnz, max_coeff_bits, stored = map(int, layers.split())
     assert provenance_nnz == stored > 0
     assert max_coeff_bits >= 1
+
+
+def test_tracer_counts_a_lazy_membership():
+    out = _run_traced(
+        "tr = tracing.Tracer()\n"
+        "tracing.install(tr)\n"
+        "from skewalg import variety\n"
+        "from skewalg.family import fm\n"
+        "from skewalg.poly import MultiPoly, multiply, substitute\n"
+        "x, y, z = map(MultiPoly.variable, (1, 2, 3))\n"
+        "p = substitute(fm(4), {1: multiply(x, x), 2: x, 3: y, 4: z})\n"  # lemma2 m=4
+        "tr.enabled = True\n"
+        "space = variety.ComponentSpace(variety.builtin_variety('flex'), {1: 3, 2: 1, 3: 1})\n"
+        "space.membership(p)\n"
+        "stop = space.acc.n_inserted\n"
+        "space.residual_of(p)\n"  # inserts the rest of the queue
+        "names, parents = tr.names, tr.parents\n"
+        "print(names.count('linalg.rereduce'), names.count('variety.residual_of'),\n"
+        "      sum(name == 'variety.saturate' and parents[i] >= 0\n"
+        "          and names[parents[i]] == 'variety.residual_of'\n"
+        "          for i, name in enumerate(names)))\n"
+        "print(tr.acc_calls[space.acc], space.acc.n_inserted, stop)\n")
+    spans, counts = out.splitlines()
+    rereduces, residual_ofs, saturates_under_residual_of = map(int, spans.split())
+    assert rereduces >= 1 and residual_ofs == 1
+    assert saturates_under_residual_of == 0
+    traced_inserts, inserted, stop = map(int, counts.split())
+    assert traced_inserts == inserted > stop
 
 
 def test_tracer_counts_a_cache_hit():

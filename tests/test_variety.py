@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from oracles import (EagerProvenanceEchelon, UnprunedSaturation, WordPathSaturation,
                      dense_rank, splits_by_filter)
 from skewalg.config import Config, ResourceLimitError
+from skewalg.family import fm
 from skewalg.poly import (MultiPoly, commutator, jordan, multiply, parse_poly,
                           substitute)
 from skewalg.symmetrize import linearize
@@ -460,6 +461,31 @@ def test_certificates_are_canonical_under_extra_rows():
     assert full.acc.rank >= early.acc.rank
     assert (json.dumps(cert_early.to_json(FLEX), sort_keys=True)
             == json.dumps(cert_full.to_json(FLEX), sort_keys=True))
+
+
+def test_membership_stops_early_and_its_certificate_survives_saturation():
+    # lemma2 m=4: the target falls into the span at rank 201 of 205, and the
+    # rows inserted after that do not change its certificate
+    x, y, z = map(MultiPoly.variable, (1, 2, 3))
+    p = substitute(fm(4), {1: multiply(x, x), 2: x, 3: y, 4: z})
+    space = ComponentSpace(FLEX, md(3, 1, 1))
+    cert, witness = space.membership(p)
+    assert witness is None
+    assert (space.acc.n_inserted, space.acc.rank) == (217, 201)
+    early = json.dumps(cert.to_json(FLEX))
+    space.saturate()
+    assert space.acc.rank == 205
+    again, _ = space.membership(p)
+    assert json.dumps(again.to_json(FLEX)) == early
+
+
+def test_residual_of_reduces_modulo_the_saturated_component():
+    # even on a space nothing has read yet
+    *_, desc = consequence_generators(ALT, md(1, 1, 1))
+    p = expand_descriptor(ALT, desc)
+    space = ComponentSpace(ALT, md(1, 1, 1))
+    assert p and space.residual_of(p) == {}
+    assert len(space.ambient) - space.acc.rank == 7
 
 
 def test_dimensions_against_dense_oracle_random_components():
