@@ -11,24 +11,24 @@ by the sign of the connecting permutation.
 No 1/n! normalization is applied anywhere, so integral inputs stay
 integral and certificates remain exact.
 
-skew, alternate, is_skew_symmetric and linearize read each term as its
-bracketing shape and its leaf order, from words.split_words; skew and
-linearize rebuild words from such pairs with its inverse, words.fill.
-alternate and is_skew_symmetric split p once, in one shared pass that
-checks each distinct leaf order once; as_one_variable and linearize read
-the letters from MultiPoly.multidegree.  alternate, and with it skew,
-fills each shape by recursion over its tree: a node's words, kept in one
-list per sign, are the products of its children's lists over every split
-of its variables, memoised per subshape and variable set.  So every
-distinct subword is one tuple, shared by all words holding it, and the
-collector tracks far fewer.
+skew, alternate and linearize read each term as its bracketing shape and
+its leaf order, from words.split_words; skew and linearize rebuild words
+from such pairs with its inverse, words.fill.  alternate splits p once, in
+a pass that checks each distinct leaf order once; as_one_variable and
+linearize read the letters from MultiPoly.multidegree.  is_skew_symmetric
+is one comparison: p against the alternate of its ascending words, the
+words of p whose leaves are its variables in ascending order.  alternate,
+and with it skew and is_skew_symmetric, fills each shape by recursion over
+its tree: a node's words, kept in one list per sign, are the products of
+its children's lists over every split of its variables, memoised per
+subshape and variable set.  So every distinct subword is one tuple, shared
+by all words holding it, and the collector tracks far fewer.
 """
 
 from itertools import chain, combinations, permutations, product, repeat
-from math import factorial
 
 from .poly import MultiPoly, _wrap, add_terms, gc_paused, relabel_poly
-from .words import degree, fill, split_words
+from .words import degree, enumerate_words, fill, leaves, split_words
 
 
 def permutation_sign(perm) -> int:
@@ -104,9 +104,10 @@ def alternate(p: MultiPoly) -> MultiPoly:
 
 
 def _signed(p: MultiPoly, signs: dict):
-    """(shape, sgn(order) * c) for each term of p, from one split.  signs
-    caches each distinct leaf order's sign, in the order first met; an
-    order is checked once, against the first order's distinct variables."""
+    """(shape, sgn(order) * c) for each term of p, from one split: alternate's
+    pass.  signs caches each distinct leaf order's sign, in the order first
+    met; an order is checked once, against the first order's distinct
+    variables, and one that is not a permutation of them raises ValueError."""
     for (shape, order), c in zip(split_words(p.terms), p.terms.values()):
         sign = signs.get(order)
         if sign is None:
@@ -165,35 +166,20 @@ def _fill(skeleton, variables, memo):
 
 
 def is_skew_symmetric(p: MultiPoly) -> bool:
-    """Whether every transposition of two variables negates p, in one pass.
-
-    Each term splits into its bracketing shape and its leaf order.  p passes
-    when every leaf order is a permutation of one variable set, when
-    sgn(order) * coefficient is the same on every term of a shape (so each
-    coefficient is sgn(order) times that of the shape's ascending word), and
-    when each shape occurs with all n! orders.  In characteristic 0 this is
-    equivalent to p being multilinear with every collapse(p, i, j) zero; the
-    zero polynomial passes.
-
-    The signed terms come from alternate's pass, _signed, whose check of
-    each leaf order fails exactly when p is not multilinear.
-    """
-    signs = {}   # leaf order -> its sign, in the order first met
-    shapes = {}  # shape -> [sgn(order) * coefficient, orders seen]
-    try:
-        with gc_paused():
-            for shape, c in _signed(p, signs):
-                entry = shapes.get(shape)
-                if entry is None:
-                    shapes[shape] = [c, 1]
-                elif entry[0] != c:
-                    return False
-                else:
-                    entry[1] += 1
-    except ValueError:  # not multilinear
+    """Whether every transposition of two variables negates p: in
+    characteristic 0, whether p is the alternate of its ascending part, its
+    terms fill(shape, variables) with the variables, read off the first
+    term's leaves, ascending.  Then each word fill(shape, t) has sgn(t)
+    times its shape's ascending coefficient.  The zero polynomial passes."""
+    if p.is_zero():
+        return True
+    variables = sorted(leaves(next(iter(p.terms))))
+    if len(set(variables)) < len(variables):
         return False
-    n_orders = factorial(len(next(iter(signs), ())))
-    return all(count == n_orders for _, count in shapes.values())
+    # fill reads only the shape of each one-variable word
+    ascending = (fill(shape, variables) for shape in enumerate_words({1: len(variables)}))
+    part = {w: p.terms[w] for w in ascending if w in p.terms}
+    return alternate(_wrap(part)).terms == p.terms
 
 
 def collapse(p: MultiPoly, i: int, j: int) -> MultiPoly:

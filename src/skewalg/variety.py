@@ -205,7 +205,7 @@ def consequence_generators(variety: Variety, d: dict):
     Deterministic order, no duplicates; expand_descriptor gives each
     generator's polynomial.
     """
-    d = {v: e for v, e in d.items() if e}
+    d = dict(md_key(d))
     for idx, f in enumerate(variety.identities):
         k = len(f.multidegree())
         if sum(d.values()) < k:
@@ -414,7 +414,7 @@ class ComponentSpace:
 
     def __init__(self, variety: Variety, multidegree: dict, config=DEFAULT_CONFIG):
         self.variety = variety
-        self.multidegree = {v: e for v, e in multidegree.items() if e}
+        self.multidegree = dict(md_key(multidegree))
         self.config = config
         n = word_count(self.multidegree)
         if n > config.max_ambient_dimension:

@@ -410,9 +410,9 @@ def _write_certificates(check, params, cert_pairs, config):
 def verify(check: str, params=None, config=DEFAULT_CONFIG) -> Report:
     """Run one named check; resource limits surface as their own verdict.
 
-    An unknown check name, a parameter the check does not take or one
-    below its least value in the check's CheckDef raises ValueError
-    before anything runs.
+    An unknown check name, a parameter the check does not take, one that
+    is not an int (a bool is not) or one below its least value in the
+    check's CheckDef raises ValueError before anything runs.
     """
     if check not in CHECKS:
         raise ValueError(f"unknown check {check!r}; known: {', '.join(sorted(CHECKS))}")
@@ -421,6 +421,9 @@ def verify(check: str, params=None, config=DEFAULT_CONFIG) -> Report:
     unknown = set(params) - set(cdef.defaults)
     if unknown:
         raise ValueError(f"check {check!r} does not take {', '.join(sorted(unknown))}")
+    for name, value in params.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{check} needs an integer {name}")
     merged = {**cdef.defaults, **params}
     for name, low in cdef.lowest.items():
         if merged[name] < low:

@@ -119,16 +119,25 @@ def _position(w, n, by_pair, by_id):
 
 
 def md_key(md) -> tuple:
-    """Canonical hashable form of a multidegree mapping: sorted (var, exp) pairs."""
-    return tuple(sorted((v, e) for v, e in md.items() if e))
+    """Canonical hashable form of a multidegree mapping: sorted (var, exp)
+    pairs, zero exponents dropped.  The one gate on multidegrees: raises
+    ValueError for a variable below 1 (0 is the hole marker) or a negative
+    exponent."""
+    key = tuple(sorted((v, e) for v, e in md.items() if e))
+    if key and key[0][0] < 1:
+        raise ValueError("variable indices start at 1")
+    if any(e < 0 for _, e in key):
+        raise ValueError("multidegree exponents must be positive")
+    return key
 
 
 def word_count(md) -> int:
     """(n! / prod d_i!) * Catalan(n-1) words of multidegree md, n = total degree."""
-    n = sum(md.values())
+    exps = [e for _, e in md_key(md)]
+    n = sum(exps)
     if n == 0:
         return 0
-    multinomial = factorial(n) // prod(factorial(e) for e in md.values())
+    multinomial = factorial(n) // prod(map(factorial, exps))
     catalan = comb(2 * (n - 1), n - 1) // n
     return multinomial * catalan
 
@@ -160,8 +169,4 @@ def _words_for(key: tuple) -> tuple:
 def enumerate_words(md) -> list:
     """All words of the given multidegree, canonically ordered, no duplicates."""
     key = md_key(md)
-    if not key:
-        return []
-    if any(e < 1 for _, e in key):
-        raise ValueError("multidegree exponents must be positive")
-    return list(_words_for(key))
+    return list(_words_for(key)) if key else []

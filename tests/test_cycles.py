@@ -10,8 +10,9 @@ import pytest
 
 from skewalg.family import associative_projection, fm, solve_skew_decomposition
 from skewalg.poly import MultiPoly
-from skewalg.symmetrize import is_skew_symmetric
+from skewalg.symmetrize import alternate, is_skew_symmetric
 from skewalg.variety import ComponentSpace, builtin_variety
+from skewalg.words import relabel
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "skewalg").glob("*.py"))
 
@@ -81,13 +82,20 @@ def _build_fm_6(tmp_path):
 def _split_fm_6(tmp_path):
     p = fm(6)
     terms = dict(p.terms)
-    terms[list(terms)[len(terms) // 2]] += 1  # fails midway, abandoning the split
+    half = list(terms)[len(terms) // 2]
+    terms[half] += 1
     broken = MultiPoly(terms)
+    # one word made non-multilinear halfway: alternate's split fails there
+    # and is abandoned
+    non_multilinear = MultiPoly({relabel(w, {2: 1}) if w == half else w: c
+                                 for w, c in p.terms.items()})
 
     def run():
         assert is_skew_symmetric(p)
         associative_projection(p)
         assert not is_skew_symmetric(broken)
+        with pytest.raises(ValueError, match="^alternate requires a multilinear polynomial$"):
+            alternate(non_multilinear)
     return run
 
 

@@ -20,7 +20,7 @@ from skewalg.variety import (ComponentSpace, GenDescriptor, MembershipCertificat
                              Variety, builtin_variety, component_dimension,
                              component_space, consequence_generators,
                              expand_descriptor, is_member)
-from skewalg.words import HOLE, leaves
+from skewalg.words import HOLE, _words_for, enumerate_words, leaves, md_key, word_count
 
 ALT = builtin_variety("alt")
 FLEX = builtin_variety("flex")
@@ -443,6 +443,35 @@ def test_component_space_cache_evicts_least_recently_used(config):
     assert component_space(FLEX, md(1, 1), configs[1]) is not spaces[1]  # was evicted
     variety.clear_space_cache()
     assert variety._cached_space.cache_info().currsize == 0
+
+
+def _streamed(degree):
+    """alt's consequence_generators at degree, kept as they arrive, so that
+    a stream failing partway still shows what it yielded."""
+    out = []
+    try:
+        out.extend(consequence_generators(ALT, degree))
+    finally:
+        assert out == []
+
+
+@pytest.mark.parametrize("entry", [
+    md_key, word_count, enumerate_words, _streamed,
+    lambda degree: ComponentSpace(ALT, degree),
+    lambda degree: component_dimension(ALT, degree),
+], ids=["md_key", "word_count", "enumerate_words", "consequence_generators",
+        "ComponentSpace", "component_dimension"])
+@pytest.mark.parametrize("degree, message", [
+    ({0: 1, 1: 2}, "variable indices start at 1"),  # 0 is the hole marker
+    ({1: -1, 2: 2}, "multidegree exponents must be positive"),
+], ids=["hole", "negative"])
+def test_multidegree_gate_builds_nothing(entry, degree, message):
+    # alt's {0: 1, 1: 2} once had dimension 3, its words printing as _
+    spaces, words = variety._cached_space.cache_info().currsize, _words_for.cache_info().currsize
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        entry(degree)
+    assert variety._cached_space.cache_info().currsize == spaces
+    assert _words_for.cache_info().currsize == words
 
 
 def test_certificates_are_canonical_under_extra_rows():

@@ -24,6 +24,21 @@ def test_unknown_check_and_params(config):
         verify("lemma1", {"q": 3}, config)
 
 
+@pytest.mark.parametrize("check, params", [
+    ("lemma1", {"m": True}),  # once ran as m=1 and reported m=True
+    ("lemma1", {"m": 2.5}),
+    ("skew_dim", {"d": "3"}),
+    ("engine_soundness", {"n_sets": None}),
+])
+def test_non_integer_parameter_runs_nothing(check, params, config, monkeypatch):
+    def run(*args):
+        raise AssertionError("the check ran")
+    monkeypatch.setitem(CHECKS, check, CHECKS[check]._replace(runner=run))
+    (name,) = params
+    with pytest.raises(ValueError, match=f"^{check} needs an integer {name}$"):
+        verify(check, params, config)
+
+
 def test_report_schema(config):
     r = verify("lemma1", {"m": 3}, config)
     doc = r.to_json()

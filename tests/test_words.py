@@ -191,7 +191,7 @@ def test_md_key_normalization():
 
 
 def test_enumerate_rejects_nonpositive():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^multidegree exponents must be positive$"):
         enumerate_words({1: -1, 2: 2})
     assert enumerate_words({}) == []
 
