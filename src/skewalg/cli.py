@@ -47,8 +47,8 @@ def _load_variety(args):
     return builtin_variety(args.variety, polys)
 
 
-def _emit(args, text_line: str, payload: dict):
-    if args.format == "json":
+def _emit(config, text_line: str, payload: dict):
+    if config.output_format == "json":
         print(json.dumps(payload, indent=1))
     else:
         print(text_line)
@@ -63,26 +63,26 @@ def _report_lines(report: Report) -> str:
 
 def cmd_fm(args, config):
     p = fm(args.m)
-    _emit(args, format_poly(p), {"command": "fm", "m": args.m,
-                                 "polynomial": format_poly(p),
-                                 "terms": len(p), "n_bound_hint": n_bound(args.m)})
+    _emit(config, format_poly(p), {"command": "fm", "m": args.m,
+                                   "polynomial": format_poly(p),
+                                   "terms": len(p), "n_bound_hint": n_bound(args.m)})
     return EXIT_OK
 
 
 def cmd_skew(args, config):
     w = parse_word(args.word)
     p = skew(MultiPoly.monomial(w))
-    _emit(args, format_poly(p), {"command": "skew", "word": args.word,
-                                 "polynomial": format_poly(p), "terms": len(p)})
+    _emit(config, format_poly(p), {"command": "skew", "word": args.word,
+                                   "polynomial": format_poly(p), "terms": len(p)})
     return EXIT_OK
 
 
 def cmd_dim(args, config):
     variety = _load_variety(args)
     d = component_dimension(variety, args.multideg, config)
-    _emit(args, str(d), {"command": "dim", "variety": variety.name,
-                         "multidegree": {f"x{v}": e for v, e in sorted(args.multideg.items())},
-                         "dimension": d})
+    md = {f"x{v}": e for v, e in sorted(args.multideg.items())}
+    _emit(config, str(d), {"command": "dim", "variety": variety.name,
+                           "multidegree": md, "dimension": d})
     return EXIT_OK
 
 
@@ -104,17 +104,17 @@ def cmd_member(args, config):
             for path, cert in zip(paths, certs):
                 cert.write(path, variety)
         payload["certificates"] = paths
-        _emit(args, "member", payload)
+        _emit(config, "member", payload)
         return EXIT_OK
     payload["witness"] = format_word(result.witness)
-    _emit(args, f"not a member (witness word {payload['witness']})", payload)
+    _emit(config, f"not a member (witness word {payload['witness']})", payload)
     return EXIT_FAIL
 
 
 def cmd_basis_count(args, config):
     n = basea_count(args.degree)
-    _emit(args, str(n), {"command": "basis-count", "degree": args.degree,
-                         "count": n})
+    _emit(config, str(n), {"command": "basis-count", "degree": args.degree,
+                           "count": n})
     return EXIT_OK
 
 
@@ -137,32 +137,33 @@ def cmd_verify(args, config):
         for name, desk_params in DESK_SUITE:
             report = verify(name, desk_params, config)
             reports.append(report)
-            if args.format != "json":
+            if config.output_format != "json":
                 print(_report_lines(report))
-        if args.format == "json":
+        if config.output_format == "json":
             print(json.dumps([r.to_json() for r in reports], indent=1))
         return _verdict_exit(reports)
     if not args.check:
         raise ValueError("verify needs a CHECK name or --all-desk")
     report = verify(args.check, params, config)
-    _emit(args, _report_lines(report), report.to_json())
+    _emit(config, _report_lines(report), report.to_json())
     return _verdict_exit([report])
 
 
 def build_parser() -> argparse.ArgumentParser:
     # Global flags go before or after the subcommand.  Their defaults are
-    # suppressed, so a subcommand not given a flag keeps the earlier value.
+    # suppressed, so a subcommand not given a flag keeps the earlier value;
+    # each dest is the Config field it sets.
     common = argparse.ArgumentParser(add_help=False, allow_abbrev=False,
                                      argument_default=argparse.SUPPRESS)
-    common.add_argument("--format", choices=("text", "json"),
+    common.add_argument("--format", dest="output_format", choices=("text", "json"),
                         help="output format (default text)")
-    common.add_argument("--max-ambient", type=int, metavar="N",
+    common.add_argument("--max-ambient", dest="max_ambient_dimension", type=int, metavar="N",
                         help="largest allowed ambient component dimension")
     common.add_argument("--max-generators", type=int, metavar="N",
                         help="largest allowed consequence-generator stream")
-    common.add_argument("--seed", type=int, metavar="N",
+    common.add_argument("--seed", dest="random_seed", type=int, metavar="N",
                         help="seed for sampled checks")
-    common.add_argument("--cert-dir", metavar="DIR",
+    common.add_argument("--cert-dir", dest="certificate_directory", metavar="DIR",
                         help="directory for certificate files (default: write none)")
     ap = argparse.ArgumentParser(
         prog="skewalg",
@@ -224,14 +225,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     given = vars(args)
     try:
-        config = Config.from_env(
-            output_format=given.get("format"),
-            max_ambient_dimension=given.get("max_ambient"),
-            max_generators=given.get("max_generators"),
-            random_seed=given.get("seed"),
-            certificate_directory=given.get("cert_dir"),
-        )
-        args.format = config.output_format
+        config = Config.from_env(**{f: given.get(f) for f in Config._fields})
         return args.func(args, config)
     except (OSError, ValueError) as e:  # ParseError is a ValueError
         print(f"error: {e}", file=sys.stderr)

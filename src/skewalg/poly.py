@@ -327,13 +327,24 @@ class _Parser:
             self.take()
 
 
+# The parser recurses once per nesting level, so a word nested deeper than
+# the interpreter's recursion limit allows is refused as a ParseError.
+_TOO_DEEP = "word nested too deeply"
+
+
 def parse_poly(s: str) -> MultiPoly:
-    return _Parser(_tokenize(s)).poly()
+    try:
+        return _Parser(_tokenize(s)).poly()
+    except RecursionError:
+        raise ParseError(_TOO_DEEP) from None
 
 
 def parse_word(s: str, allow_hole=False):
     p = _Parser(_tokenize(s), allow_hole=allow_hole)
-    w = p.word()
+    try:
+        w = p.word()
+    except RecursionError:
+        raise ParseError(_TOO_DEEP) from None
     if p.peek() is not None:
         raise ParseError(f"trailing input after word: {p.peek()!r}")
     return w

@@ -207,10 +207,7 @@ def consequence_generators(variety: Variety, d: dict):
     """
     d = dict(md_key(d))
     for idx, f in enumerate(variety.identities):
-        k = len(f.multidegree())
-        if sum(d.values()) < k:
-            continue
-        for ctx_key, slot_keys in _splits(d, k):
+        for ctx_key, slot_keys in _splits(d, len(f.multidegree())):
             contexts = _words_for(((HOLE, 1),) + ctx_key)  # HOLE sorts first
             slot_words = [_words_for(key) for key in slot_keys]
             for ctx in contexts:
@@ -449,22 +446,18 @@ class ComponentSpace:
         the word table, zero vectors dropped, and queued group by group by
         descending group key, the largest leading column among the group's
         vectors: in stream order within a group, and groups of equal key
-        in the order the stream first reaches them.  The stream yields the
-        descriptors of one split and one context word in a run that shares
-        the context object, so the word table looks it up once per run.
+        in the order the stream first reaches them.  The word table numbers
+        each context in the order the stream first reaches it.
         """
         table, limit = self._table, self.config.max_generators
         after = _slot_orbits(self.variety.identities).after
         groups = {}  # (context number, set of slot ids) -> [first-seen ids, state, key, kept]
         streamed = 0
-        ctx = None
         for desc in consequence_generators(self.variety, self.multidegree):
             streamed += 1
             if streamed > limit:
                 raise ResourceLimitError("max_generators", streamed, limit)
-            if desc.context is not ctx:  # a new run of descriptors
-                ctx = desc.context
-                number, path = table.context(ctx)
+            number, path = table.context(desc.context)
             slots = table.slot_ids(desc.substitution)
             name = number, frozenset(slots)
             group = groups.get(name)

@@ -10,10 +10,11 @@ the config names a certificate directory.
 
 import os
 import random
+import sys
 import time
 from collections import namedtuple
 from itertools import chain, combinations, product
-from math import factorial
+from math import comb, factorial
 
 from .config import DEFAULT_CONFIG, ResourceLimitError
 from .family import (alternating_space, associative_projection, base_descriptors,
@@ -25,20 +26,13 @@ from .poly import (MultiPoly, add_terms, commutator, jordan, multiply, relabel_p
 from .symmetrize import collapse, is_skew_symmetric, skew
 from .variety import (builtin_variety, component_dimension, consequence_generators,
                       expand_descriptor, is_member)
-from .words import enumerate_words, format_word, split_words
+from .words import enumerate_words, format_word
 
 
 class Report(namedtuple("Report", "check params verdict details certificates elapsed_ms")):
     """verdict is pass, fail or resource_limit; certificates are file paths."""
 
     __slots__ = ()
-
-    def __new__(cls, check, params, verdict, details=None, certificates=None,
-                elapsed_ms=0):
-        # a fresh dict and list per report, never one shared default
-        return super().__new__(cls, check, params, verdict,
-                               {} if details is None else details,
-                               [] if certificates is None else certificates, elapsed_ms)
 
     def to_json(self) -> dict:
         return self._asdict()
@@ -134,12 +128,12 @@ def check_skew_dim(params, config):
     return verdict, details, []
 
 
-def _binary_words(max_degree: int):
-    """Associative words in two letters, degrees 1..max_degree, as tuples."""
-    out = []
-    for n in range(1, max_degree + 1):
-        out.extend(product((1, 2), repeat=n))
-    return out
+def _binary_word(i: int) -> tuple:
+    """Word i of the associative words in two letters listed by degree,
+    then lexicographically: the binary digits of i + 2 after its leading
+    1, a 0 read as letter 1 and a 1 as letter 2.  Degrees 1..b hold words
+    0..2^(b+1) - 3."""
+    return tuple(1 + int(bit) for bit in bin(i + 2)[3:])
 
 
 def _evaluate_associative(proj: dict, words: tuple) -> dict:
@@ -149,24 +143,28 @@ def _evaluate_associative(proj: dict, words: tuple) -> dict:
 
 
 def _cor2_body(m: int, degree_bound: int, config):
-    """Evaluate fm(m)'s associative image on m-subsets of two-letter words."""
+    """Evaluate fm(m)'s associative image on m-subsets of two-letter words:
+    every subset of the 6 words of degree <= 2, and 100 sampled from the
+    words of degree <= degree_bound, each word decoded from its index."""
+    pool_size = (1 << (degree_bound + 1)) - 2
+    if pool_size > sys.maxsize:
+        raise ValueError(f"degree_bound {degree_bound} gives more than sys.maxsize words"
+                         " to sample from")
     proj = associative_projection(fm(m))
-    small = _binary_words(2)
     full_failures = sum(
-        1 for subset in combinations(small, m)
+        1 for subset in combinations(map(_binary_word, range(6)), m)
         if _evaluate_associative(proj, subset)
     )
-    pool = _binary_words(degree_bound)
     rng = random.Random(config.random_seed)
     sampled_failures = 0
     for _ in range(100):
-        subset = tuple(sorted(rng.sample(range(len(pool)), m)))
-        if _evaluate_associative(proj, tuple(pool[i] for i in subset)):
+        subset = tuple(sorted(rng.sample(range(pool_size), m)))
+        if _evaluate_associative(proj, tuple(map(_binary_word, subset))):
             sampled_failures += 1
     details = {
         "m": m,
         "degree_bound": degree_bound,
-        "full_subsets": len(list(combinations(range(len(small)), m))),
+        "full_subsets": comb(6, m),
         "full_nonzero": full_failures,
         "sampled_subsets": 100,
         "sampled_nonzero": sampled_failures,
@@ -237,11 +235,11 @@ def check_lemma3(params, config):
 def check_cor4_tiny(params, config):
     """Skew x^[4] under every substitution of one-variable monomials of
     degree <= 3, evaluated in the associative-and-commutative collapse."""
-    terms = skew(x_bracket(4).poly).terms
-    s = [(order, c) for (_, order), c in zip(split_words(terms), terms.values())]
+    proj = associative_projection(skew(x_bracket(4).poly))
     failures = 0
     for exps in product((1, 2, 3), repeat=4):
-        if add_terms({}, ((sum(exps[v - 1] for v in order), c) for order, c in s)):
+        if add_terms({}, ((sum(exps[v - 1] for v in order), c)
+                          for order, c in proj.items())):
             failures += 1
     details = {"substitutions": 3 ** 4, "nonzero": failures}
     return ("pass" if failures == 0 else "fail"), details, []

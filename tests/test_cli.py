@@ -1,9 +1,11 @@
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
 
+from skewalg import cli
 from skewalg.cli import main
 from skewalg.config import Config
 from skewalg.variety import MembershipCertificate, builtin_variety
@@ -131,6 +133,46 @@ def test_global_flags_before_or_after_subcommand(tmp_path, capsys, after):
                         ("--max-generators", "max_generators")):
         code, _, err = call(dim, [flag, "5"])
         assert code == 3 and limit in err
+
+
+@pytest.mark.parametrize("where", ["before", "after", "both"])
+def test_global_flags_reach_config_by_field(monkeypatch, where):
+    captured = []
+    monkeypatch.setattr(cli, "cmd_basis_count", lambda args, config: captured.append(config))
+    flags = ["--format", "json", "--max-ambient", "7", "--max-generators", "8",
+             "--seed", "9", "--cert-dir", "certs"]
+    earlier = ["--format", "text", "--max-ambient", "1", "--max-generators", "2",
+               "--seed", "3", "--cert-dir", "earlier"]
+    command = ["basis-count", "--degree", "3"]
+    argv = {"before": flags + command, "after": command + flags,
+            "both": earlier + command + flags}[where]  # a flag after the subcommand wins
+    main(argv)
+    assert captured == [Config(output_format="json", max_ambient_dimension=7,
+                               max_generators=8, random_seed=9,
+                               certificate_directory="certs")]
+
+
+def test_every_global_flag_names_a_config_field():
+    dests = {a.dest for a in cli.build_parser()._actions
+             if a.option_strings and a.dest != "help"}
+    assert dests == set(Config._fields)
+
+
+@pytest.mark.parametrize("command", ["member", "skew"])
+def test_deeply_nested_word_is_usage(tmp_path, capsys, command):
+    deep = "(" * 5000 + "x1" + "*x1)" * 5000
+    poly = tmp_path / "p.txt"
+    poly.write_text(deep)
+    argv = {"member": ["member", "--variety", "alt", "--input", str(poly)],
+            "skew": ["skew", "--word", deep]}[command]
+    assert run(capsys, *argv) == (2, "", "error: word nested too deeply\n")
+
+
+def test_cor2_large_degree_bound_builds_no_pool(capsys):
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "verify", "cor2_assoc", "--degree-bound", "40")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0 and out.startswith("pass")
 
 
 def test_resource_limit_exit_code(capsys):
@@ -295,10 +337,13 @@ def test_verify_rejects_foreign_param(capsys):
     (["verify", "skew_dim", "--d", "-2"], "skew_dim needs d >= 1"),
     (["verify", "assoc_projection", "--d", "-1"], "assoc_projection needs d >= 1"),
     (["basis-count", "--degree", "-3"], "degree must be >= 0"),
+    (["verify", "cor2_assoc", "--degree-bound", "63"], "more than sys.maxsize words"),
+    (["verify", "cor2_assoc_probe", "--degree-bound", "63"], "more than sys.maxsize words"),
 ], ids=["check-with-all-desk", "param-with-all-desk", "identities-with-builtin",
         "input-is-directory", "lemma2-m-below-two", "eq4-k-zero", "eq4-k-negative",
         "eq6-m-two", "fm_nonzero-m-zero", "skew_dim-d-zero", "skew_dim-d-negative",
-        "assoc_projection-d-negative", "basis-count-negative"])
+        "assoc_projection-d-negative", "basis-count-negative", "cor2-pool-too-large",
+        "cor2-probe-pool-too-large"])
 def test_rejected_usage_runs_nothing(tmp_path, capsys, argv, message):
     ids = tmp_path / "ids.txt"
     ids.write_text("((x1*x2)*x1) - (x1*(x2*x1))\n")

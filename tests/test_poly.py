@@ -122,6 +122,15 @@ def test_parse_errors():
     assert parse_word("_", allow_hole=True) == 0
 
 
+def test_deeply_nested_word_is_parse_error():
+    deep = "(" * 5000 + "x1" + "*x1)" * 5000
+    for parse in (parse_poly, parse_word):
+        with pytest.raises(ParseError, match="^word nested too deeply$"):
+            parse(deep)
+    with pytest.raises(ParseError, match="^line 2: word nested too deeply$"):
+        parse_identity_file("(x1*x2)\n" + deep)
+
+
 def test_parse_identity_file():
     text = """
     # flexible law, linearized by hand

@@ -1,6 +1,8 @@
 import json
 import os
+import random
 import sys
+from itertools import combinations, product
 
 import pytest
 
@@ -79,6 +81,35 @@ def test_probe_reports_without_asserting(config):
     r = verify("cor2_assoc_probe", {"degree_bound": 2}, config)
     assert r.verdict == "pass"
     assert "outcome" in r.details
+
+
+def _binary_pool(max_degree):
+    """The two-letter words of degrees 1..max_degree, by degree and then
+    lexicographically, built whole: the pool the cor2 checks sample."""
+    return [w for n in range(1, max_degree + 1) for w in product((1, 2), repeat=n)]
+
+
+@pytest.mark.parametrize("check, m", [("cor2_assoc", 6), ("cor2_assoc_probe", 5)])
+@pytest.mark.parametrize("degree_bound", range(2, 9))
+def test_cor2_evaluates_the_subsets_of_the_built_pool(check, m, degree_bound, config,
+                                                      monkeypatch):
+    seen = []
+
+    def record(proj, words):
+        seen.append(words)
+        return evaluate(proj, words)
+
+    module = sys.modules["skewalg.verify"]  # the package's verify is the function
+    evaluate = module._evaluate_associative
+    monkeypatch.setattr(module, "_evaluate_associative", record)
+    r = verify(check, {"degree_bound": degree_bound}, config)
+    pool = _binary_pool(degree_bound)
+    rng = random.Random(config.random_seed)
+    want = list(combinations(_binary_pool(2), m))
+    want += [tuple(pool[i] for i in sorted(rng.sample(range(len(pool)), m)))
+             for _ in range(100)]
+    assert seen == want
+    assert r.details["full_subsets"] == len(want) - 100
 
 
 def test_resource_limit_verdict(config):
