@@ -25,7 +25,7 @@ from itertools import permutations, product
 from math import comb
 
 from .config import DEFAULT_CONFIG
-from .poly import MultiPoly, _wrap, add_terms, gc_paused, multiply
+from .poly import MultiPoly, _wrap, add_terms, commutator, gc_paused, jordan, multiply
 from .symmetrize import as_one_variable, permutation_sign, skew
 from .variety import ComponentSpace, builtin_variety, component_space
 from .words import flatten, split_words
@@ -94,15 +94,13 @@ def odd_generator() -> SuperWord:
 
 
 def super_commutator(a: SuperWord, b: SuperWord) -> SuperWord:
-    sign = -1 if (a.parity and b.parity) else 1
-    p = multiply(a.poly, b.poly) - multiply(b.poly, a.poly).scale(sign)
-    return SuperWord(p, a.degree + b.degree)
+    op = jordan if a.parity and b.parity else commutator
+    return SuperWord(op(a.poly, b.poly), a.degree + b.degree)
 
 
 def super_jordan(a: SuperWord, b: SuperWord) -> SuperWord:
-    sign = -1 if (a.parity and b.parity) else 1
-    p = multiply(a.poly, b.poly) + multiply(b.poly, a.poly).scale(sign)
-    return SuperWord(p, a.degree + b.degree)
+    op = commutator if a.parity and b.parity else jordan
+    return SuperWord(op(a.poly, b.poly), a.degree + b.degree)
 
 
 @lru_cache(maxsize=None)
@@ -156,30 +154,18 @@ class BaseDescriptor(namedtuple("BaseDescriptor", "family m sigma k eps",
       bracket  t^m (x^[k+2] x^s)      degree 2m + k + 2 + s,    k >= 1
       u_family t^m (u^[4k+e] x^s)     degree 2m + 4k + e + 3 + s, k >= 1
       z_family t^m (z^[4k+e] x^s)     degree 2m + 4k + e + 2 + s, k >= 1
-    with s, e in {0, 1}.
+    with s, e in {0, 1}.  The constructor accepts exactly the tuples of ints
+    (a bool is not one) that _catalogue lists, so each element has one.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.family not in ("power", "bracket", "u_family", "z_family"):
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.m < 0 or self.sigma not in (0, 1):
-            raise ValueError("bad parameters")
-        if self.family == "power":
-            if self.m + self.sigma < 1:
-                raise ValueError("power family needs m + sigma >= 1")
-            if self.k != 0:
-                raise ValueError("power family takes no k")
-        else:
-            if self.k < 1:
-                raise ValueError("k must be >= 1")
-        if self.family in ("u_family", "z_family"):
-            if self.eps not in (0, 1):
-                raise ValueError("eps must be 0 or 1")
-        elif self.eps != 0:
-            raise ValueError(f"{self.family} family takes no eps")
+        if any(type(v) is not int for v in self[1:]):
+            raise ValueError("m, sigma, k and eps must be ints")
+        if self.degree < 0 or self not in _catalogue(self.degree):
+            raise ValueError(f"{self} is not in the catalogue")
         return self
 
     @property
@@ -213,8 +199,6 @@ def base_element(desc: BaseDescriptor) -> SuperWord:
             core = z_word(4 * desc.k + desc.eps)
         inner = core * odd_generator() if desc.sigma else core
     if desc.m == 0:
-        if inner is None:
-            raise ValueError("empty element")
         return inner
     head = t_power(desc.m)
     return head * inner if inner is not None else head
@@ -230,27 +214,32 @@ def _core_degree(family: str, k: int, eps: int) -> int:
     return 4 * k + eps + (3 if family == "u_family" else 2)
 
 
-def base_descriptors(degree: int) -> list:
-    """All catalogue descriptors of the given degree, in a fixed order:
-    family, then sigma, then k, then eps."""
+def _catalogue(degree: int):
+    """The catalogue's (family, m, sigma, k, eps) tuples at degree, ordered by
+    family, sigma, k, eps: the one statement of each family's k and eps."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
     if degree == 0:
-        return []
-    out = []
+        return  # the power family's t^0 x^0 is the empty product
     for family in ("power", "bracket", "u_family", "z_family"):
         ks = (0,) if family == "power" else range(1, degree + 1)
         epss = (0, 1) if family in ("u_family", "z_family") else (0,)
         for sigma, k, eps in product((0, 1), ks, epss):
             rem = degree - sigma - _core_degree(family, k, eps)
             if rem >= 0 and rem % 2 == 0:
-                out.append(BaseDescriptor(family, m=rem // 2, sigma=sigma, k=k, eps=eps))
-    return out
+                yield family, rem // 2, sigma, k, eps
+
+
+def base_descriptors(degree: int) -> list:
+    """All catalogue descriptors of the given degree, in _catalogue's order,
+    each built through the constructor."""
+    return [BaseDescriptor(*entry) for entry in _catalogue(degree)]
 
 
 def basea_count(degree: int) -> int:
-    """Number of catalogue descriptors of the given degree."""
-    return len(base_descriptors(degree))
+    """Number of catalogue descriptors of the given degree, counted from
+    _catalogue without building them."""
+    return sum(1 for _ in _catalogue(degree))
 
 
 def n_bound(m: int) -> int:
@@ -309,13 +298,11 @@ def solve_skew_decomposition(m: int, config=DEFAULT_CONFIG) -> SkewDecomposition
     space = alternating_space(m, config)
     s1 = skew(x_bracket(m).poly)
     s2 = skew(z_word(m - 2).poly) if m - 2 >= 2 else MultiPoly.zero()
-    quotient = space.quotient([s1])  # insertion id 0
-    z_independent = quotient.insert_reduce(space.residual_of(s2))  # insertion id 1
-    coeffs, _ = quotient.express_in_span(space.residual_of(fm(m)))
+    (_, z_independent), coeffs = space.solve([s1, s2], fm(m))
     if coeffs is None:
         return SkewDecomposition(m, "no_solution")
-    alpha = Fraction(coeffs.get(0, 0))
-    beta = Fraction(coeffs.get(1, 0)) if z_independent else None
+    alpha = Fraction(coeffs[0])
+    beta = Fraction(coeffs[1]) if z_independent else None
     beta_free = (m - 2 >= 2) and not z_independent
 
     combo = s1.scale(alpha)

@@ -23,7 +23,7 @@ from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 
-from .words import HOLE, degree, format_word, md_key, relabel, split_words
+from .words import HOLE, md_key, relabel, sort_key, split_words
 
 
 class ParseError(ValueError):
@@ -353,9 +353,9 @@ def parse_word(s: str, allow_hole=False):
 def format_poly(p: MultiPoly) -> str:
     if p.is_zero():
         return "0"
-    # canonical order, each word formatted once: (degree, text) is its
-    # sort_key, and texts are distinct, so coefficients are never compared
-    terms = sorted((degree(w), format_word(w), c) for w, c in p.terms.items())
+    # canonical order, each word formatted once by sort_key: texts are
+    # distinct, so coefficients are never compared
+    terms = sorted((*sort_key(w), c) for w, c in p.terms.items())
     parts = []
     for idx, (_, text, c) in enumerate(terms):
         mag = c if c > 0 else -c

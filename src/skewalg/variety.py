@@ -6,7 +6,7 @@ component of the T-ideal at a multidegree is spanned by the identities
 with monomials substituted for their variables, embedded in a one-hole
 monomial context.  ComponentSpace reads that enumeration once, whole, at
 its first read (saturate, dimension, membership, residual_of or
-quotient), and queues the generators for an echelon accumulator.  Every
+solve), and queues the generators for an echelon accumulator.  Every
 read inserts through one loop, which is lazy: it stops early when a
 membership target is reached or the ambient space saturates.
 
@@ -337,14 +337,7 @@ class MembershipCertificate(namedtuple("MembershipCertificate",
     def to_json(self, variety: Variety) -> dict:
         texts = {i: format_poly(variety.identities[i])  # once per identity used
                  for i in {desc.identity_index for desc, _ in self.entries}}
-        names = {}  # word -> text, so each distinct word is formatted once
-
-        def name(w):
-            text = names.get(w)
-            if text is None:
-                text = names[w] = format_word(w)
-            return text
-
+        name = lru_cache(maxsize=None)(format_word)  # each distinct word once
         return {
             "target": format_poly(self.target),
             "variety": self.variety_name,
@@ -514,16 +507,19 @@ class ComponentSpace:
             residual = self._residuals[p] = self.acc.residual(self.vec(p))
         return dict(residual)
 
-    def quotient(self, polys) -> EchelonAccumulator:
-        """Echelon of the polys' residuals modulo the saturated component.
-
-        One insertion per poly, in order, so insertion id k stands for
-        polys[k] in express_in_span of a residual.
-        """
+    def solve(self, basis, target=None):
+        """(independent, coefficients) of target over basis, all modulo the
+        saturated component.  The basis residuals go in order into a fresh
+        echelon, and independent[i] is whether basis[i]'s raised its rank;
+        coefficients is None without a target or for one outside the span,
+        else one exact coefficient per basis element, 0 where absent."""
         acc = EchelonAccumulator(len(self.ambient))
-        for p in polys:
-            acc.insert_reduce(self.residual_of(p))
-        return acc
+        independent = [acc.insert_reduce(self.residual_of(p)) for p in basis]
+        if target is None:
+            return independent, None
+        coeffs = acc.express_in_span(self.residual_of(target)).coefficients
+        return independent, (None if coeffs is None else
+                             [coeffs.get(i, 0) for i in range(len(basis))])
 
     def membership(self, p: MultiPoly):
         """(certificate, None) for a member, else (None, witness_word), as

@@ -31,6 +31,7 @@ def format_word(w) -> str:
 
 
 def sort_key(w):
+    """(degree, text): the canonical order's key."""
     return (degree(w), format_word(w))
 
 

@@ -1,6 +1,7 @@
 """Term data makes no reference cycles, so pausing the cyclic collector
 while terms are built frees nothing late (see the README design notes),
-and only the word module keys memos by object identity."""
+only the word module keys memos by object identity, and records are
+built through their constructors."""
 
 import ast
 import gc
@@ -67,6 +68,26 @@ def test_id_call_is_found():
                      "def key(w):\n"
                      "    return memo.get(id(w)), w.id(), identity(w)\n")
     assert _id_calls(tree) == [3]
+
+
+def _record_bypasses(tree):
+    """Lines that call an attribute named _make or _replace, which build a
+    named tuple without its __new__ and so without its validation."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("_make", "_replace"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_records_are_built_through_their_constructor(path):
+    assert _record_bypasses(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_record_bypass_is_found():
+    tree = ast.parse("a = Desc._make(fields)\n"
+                     "b = a._replace(m=2)\n"
+                     "c = make(a), a._asdict()\n")
+    assert _record_bypasses(tree) == [1, 2]
 
 
 def _saturate_flex_211(tmp_path):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -155,9 +156,25 @@ def test_base_descriptor_validation():
                            ("power", {"sigma": 1, "eps": 1}),
                            ("bracket", {"k": 1, "eps": 1}),
                            ("u_family", {"k": 1, "eps": 2}),
-                           ("z_family", {"k": 1, "eps": -1})):
+                           ("z_family", {"k": 1, "eps": -1}),
+                           # fields are ints, and a bool is not one
+                           ("power", {"m": 1.5}), ("power", {"m": True}),
+                           ("bracket", {"m": 1, "k": 2.0})):
         with pytest.raises(ValueError):
             BaseDescriptor(family, **kwargs)
+
+
+def test_constructor_accepts_exactly_the_catalogue():
+    # the largest listed degree below is u_family's 2*3 + 1 + 4*4 + 1 + 3 = 27
+    listed = {tuple(desc) for d in range(28) for desc in base_descriptors(d)}
+    for fields in product(("power", "bracket", "u_family", "z_family", "tower"),
+                          range(-1, 4), range(-1, 3), range(-1, 5), range(-1, 3)):
+        try:
+            BaseDescriptor(*fields)
+        except ValueError:
+            assert fields not in listed
+        else:
+            assert fields in listed
 
 
 def test_base_descriptors_unchanged_by_validation():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (EagerProvenanceEchelon, UnprunedSaturation, WordPathSaturation,
-                     dense_rank, splits_by_filter)
+                     dense_express, dense_rank, splits_by_filter)
 from skewalg.config import Config, ResourceLimitError
 from skewalg.family import fm
 from skewalg.poly import (MultiPoly, commutator, jordan, multiply, parse_poly,
@@ -515,6 +515,41 @@ def test_residual_of_reduces_modulo_the_saturated_component():
     space = ComponentSpace(ALT, md(1, 1, 1))
     assert p and space.residual_of(p) == {}
     assert len(space.ambient) - space.acc.rank == 7
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_solve_matches_dense_oracle(seed):
+    rng = random.Random(seed)
+    space = ComponentSpace(ALT, md(1, 1, 1, 1))
+    dim = len(space.ambient)
+
+    def random_poly():
+        return MultiPoly.from_pairs((rng.choice(space.ambient), rng.randint(1, 5))
+                                    for _ in range(rng.randint(1, 6)))
+
+    basis = [random_poly() for _ in range(4)]
+    basis.insert(rng.randrange(5), rng.choice(basis))  # one element twice
+    residuals = [space.residual_of(b) for b in basis]
+    ranks = [dense_rank(residuals[:i], dim) for i in range(len(basis) + 1)]
+    independent, coeffs = space.solve(basis)
+    assert independent == [b > a for a, b in zip(ranks, ranks[1:])]
+    assert coeffs is None
+
+    def combination(ks):
+        return MultiPoly.from_pairs((w, k * c) for k, b in zip(ks, basis)
+                                    for w, c in b.terms.items())
+
+    inside = combination([rng.randint(-3, 3) for _ in basis])
+    member = expand_descriptor(ALT, next(consequence_generators(ALT, md(1, 1, 1, 1))))
+    for target in (inside, inside + member):
+        again, coeffs = space.solve(basis, target)
+        assert again == independent and len(coeffs) == len(basis)
+        assert space.residual_of(target - combination(coeffs)) == {}
+    assert space.solve(basis, MultiPoly.zero())[1] == [0] * len(basis)
+
+    outside = random_poly()
+    assert dense_express(residuals, space.residual_of(outside), dim) is None
+    assert space.solve(basis, outside) == (independent, None)
 
 
 def test_dimensions_against_dense_oracle_random_components():
