@@ -25,8 +25,8 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-_VERIFY_PARAMS = ("m", "k", "d", "degree_bound")
-_VERIFY_FLAGS = tuple("--" + key.replace("_", "-") for key in _VERIFY_PARAMS)
+_VERIFY_PARAMS = ("m", "k", "d")
+_VERIFY_FLAGS = tuple("--" + key for key in _VERIFY_PARAMS)
 
 
 def _parse_multidegree(text: str) -> dict:

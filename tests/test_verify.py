@@ -1,8 +1,6 @@
 import json
 import os
-import random
 import sys
-from itertools import combinations, product
 
 import pytest
 
@@ -14,7 +12,7 @@ from skewalg.verify import CHECKS, DESK_SUITE, verify
 
 def test_registry_names():
     expected = {"lemma1", "eq1", "lemma2", "eq4", "fm_nonzero", "skew_dim",
-                "cor2_assoc", "cor2_assoc_probe", "assoc_projection", "lemma3",
+                "cor2_assoc", "assoc_projection", "lemma3",
                 "eq6", "cor4_tiny", "engine_soundness"}
     assert expected <= set(CHECKS)
 
@@ -77,41 +75,6 @@ def test_no_certificate_directory_writes_nothing(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_probe_reports_without_asserting(config):
-    r = verify("cor2_assoc_probe", {"degree_bound": 2}, config)
-    assert r.verdict == "pass"
-    assert "outcome" in r.details
-
-
-def _binary_pool(max_degree):
-    """The two-letter words of degrees 1..max_degree, by degree and then
-    lexicographically, built whole: the pool the cor2 checks sample."""
-    return [w for n in range(1, max_degree + 1) for w in product((1, 2), repeat=n)]
-
-
-@pytest.mark.parametrize("check, m", [("cor2_assoc", 6), ("cor2_assoc_probe", 5)])
-@pytest.mark.parametrize("degree_bound", range(2, 9))
-def test_cor2_evaluates_the_subsets_of_the_built_pool(check, m, degree_bound, config,
-                                                      monkeypatch):
-    seen = []
-
-    def record(proj, words):
-        seen.append(words)
-        return evaluate(proj, words)
-
-    module = sys.modules["skewalg.verify"]  # the package's verify is the function
-    evaluate = module._evaluate_associative
-    monkeypatch.setattr(module, "_evaluate_associative", record)
-    r = verify(check, {"degree_bound": degree_bound}, config)
-    pool = _binary_pool(degree_bound)
-    rng = random.Random(config.random_seed)
-    want = list(combinations(_binary_pool(2), m))
-    want += [tuple(pool[i] for i in sorted(rng.sample(range(len(pool)), m)))
-             for _ in range(100)]
-    assert seen == want
-    assert r.details["full_subsets"] == len(want) - 100
-
-
 def test_resource_limit_verdict(config):
     r = verify("skew_dim", {"d": 6}, config)
     assert r.verdict == "resource_limit"
@@ -155,6 +118,28 @@ def test_lemma1_fail_reports_nonvanishing_pairs(config, monkeypatch):
         assert r.details["nonvanishing_pairs"] == expected
         assert r.details["terms"] == len(broken)
     assert (1, 2) not in r.details["nonvanishing_pairs"]
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_cor2_passes_exactly_from_m_three(m, config):
+    # x1 and [x1, x2] do not vanish on two generators; fm(m) for m >= 3 does
+    r = verify("cor2_assoc", {"m": m}, config)
+    assert r.verdict == ("pass" if m >= 3 else "fail")
+    assert r.details["image_terms"] == {1: 1, 2: 2}.get(m, 0)
+
+
+@pytest.mark.parametrize("check, patched", [("cor2_assoc", "fm"), ("cor4_tiny", "skew")])
+def test_nonzero_associative_image_fails(check, patched, config, monkeypatch):
+    from skewalg.family import fm
+    from skewalg.poly import parse_poly
+
+    # fm(6)'s image is zero, and this word's is the one term x1x2x3x4x5x6
+    broken = fm(6) + parse_poly("(((((x1*x2)*x3)*x4)*x5)*x6)")
+    # the package re-exports the function verify under the module's name
+    monkeypatch.setattr(sys.modules["skewalg.verify"], patched, lambda *args: broken)
+    r = verify(check, {}, config)
+    assert r.verdict == "fail"
+    assert r.details["image_terms"] == 1
 
 
 def test_desk_suite_layout():
